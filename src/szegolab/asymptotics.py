@@ -24,7 +24,7 @@ from .laguerre import (
 )
 from .precision import default_precision, op_precision, workprec
 from .rootfinding import ZeroSet, contracted_zeros
-from .szego import phi_map, trace_level_curve
+from .szego import LevelCurve, phi_map, trace_level_curve
 
 _SCHEDULE_KINDS = ("generic", "exponential", "superexponential")
 
@@ -114,7 +114,8 @@ def make_schedule(kind: str, c=None, r=None) -> AlphaSchedule:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Distance of the degree-n zero distribution from the mu_(r_eff) law."""
+    """Distance of the degree-n zero distribution from the mu_(r_eff) law,
+    with the zeros and the Gamma_(r_eff) curve it was measured on."""
 
     n: int
     alpha: mpf
@@ -124,6 +125,8 @@ class ConvergenceReport:
     moment_gaps: tuple
     supnorm_gap: mpf
     origin_gap: mpf
+    zeros: ZeroSet
+    curve: LevelCurve
 
 
 def _theta_of(z):
@@ -148,17 +151,17 @@ def ks_uniform_theta(zeros, precision_bits: int = 128) -> mpf:
 
 
 def supnorm_extremality(
-    n: int, alpha, r, M: int, precision_bits: int | None = None
+    n: int, alpha, curve: LevelCurve, precision_bits: int | None = None
 ) -> mpf:
-    """max over Gamma_r samples of e^(-Re z) |L_n^(alpha)(n z)|^(1/n).
+    """max over the samples of curve of e^(-Re z) |L_n^(alpha)(n z)|^(1/n).
 
-    The arc |theta| <= 2 pi / M around the positive crossing x0 is excluded:
-    the underlying bound holds quasi-everywhere and genuinely fails at x0.
+    The nodes next to the positive crossing x0 (the first, second and last
+    sample) are excluded: the underlying bound holds quasi-everywhere and
+    genuinely fails at x0.
     """
     if precision_bits is None:
         precision_bits = recommended_precision(n, alpha)
     spec = LaguerreSpec.contracted(n, alpha)
-    curve = trace_level_curve(r, M, min(precision_bits, 512))
     prec = op_precision(precision_bits, spec.alpha)
     with workprec(prec):
         best = mpf(0)
@@ -187,11 +190,16 @@ def origin_extremality(n: int, alpha, precision_bits: int | None = None) -> mpf:
 def zero_distribution_report(
     n: int, alpha, M_curve: int = 512, precision_bits: int | None = None
 ) -> ConvergenceReport:
-    """Full convergence diagnostics for the contracted zeros at (n, alpha)."""
+    """Full convergence diagnostics for the contracted zeros at (n, alpha).
+
+    The zeros are solved once and Gamma_(r_eff) is traced once, with M_curve
+    nodes at up to 512 bits; both are returned in the report.
+    """
     if precision_bits is None:
         precision_bits = recommended_precision(n, alpha)
     pd = param_decomposition(n, alpha, precision_bits)
     zs = contracted_zeros(n, alpha, precision_bits)
+    curve = trace_level_curve(pd.r_eff, M_curve, min(precision_bits, 512))
     prec = op_precision(precision_bits, pd.r_eff, *zs.zeros)
     with workprec(prec):
         level_dev = mpf(0)
@@ -202,7 +210,7 @@ def zero_distribution_report(
             mean = mp.fsum((z**k for z in zs.zeros)) / n
             moment_gaps.append(abs(mean - (1 if k == 0 else 0)))
         ks = ks_uniform_theta(zs.zeros, precision_bits)
-        sup_val = supnorm_extremality(n, alpha, pd.r_eff, M_curve, precision_bits)
+        sup_val = supnorm_extremality(n, alpha, curve, precision_bits)
         supnorm_gap = sup_val - mp.e ** (-pd.r_eff)
         origin_gap = origin_extremality(n, alpha, precision_bits)
     return ConvergenceReport(
@@ -214,6 +222,8 @@ def zero_distribution_report(
         moment_gaps=tuple(moment_gaps),
         supnorm_gap=supnorm_gap,
         origin_gap=origin_gap,
+        zeros=zs,
+        curve=curve,
     )
 
 

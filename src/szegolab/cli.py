@@ -13,23 +13,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from mpmath import mp, mpc, mpf
 
 from .asymptotics import level_median, make_schedule, zero_distribution_report
 from .errors import ConfigurationError, SzegolabError
-from .laguerre import (
-    LaguerreSpec,
-    coefficients,
-    evaluate,
-    param_decomposition,
-    recommended_precision,
-)
+from .laguerre import LaguerreSpec, coefficients, evaluate, recommended_precision
 from .measures import DiscreteMeasure, log_potential
 from .potential import (
     discretize_mu_r,
@@ -63,7 +58,6 @@ class RunConfig:
     curve_nodes: int = 512
     tolerance: mpf | None = None
     out_dir: Path = Path(".")
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         check_precision(self.precision_bits)
@@ -448,10 +442,21 @@ def cmd_zeros(ns, conf) -> int:
     alpha_text = _resolve(ns, conf, "alpha")
     if n is None or alpha_text is None:
         raise ConfigurationError("zeros requires --n and --alpha")
+    # Parse alpha with every significant digit resolved, so that a literal
+    # near S_n keeps its distance from the set.
+    mantissa = str(alpha_text).lower().split("e")[0].lstrip("+-0.")
+    digits = sum(ch.isdigit() for ch in mantissa)
+    bits = max(320, math.ceil(digits * math.log2(10)) + 64)
+    exact = _as_mpf("alpha", alpha_text, bits)
     precision = _resolve_precision(ns, conf, default=None)
     if precision is None:
-        precision = recommended_precision(n, _as_mpf("alpha", alpha_text, 320))
+        precision = recommended_precision(n, exact)
     alpha = _as_mpf("alpha", alpha_text, precision)
+    if alpha != exact and mp.isint(alpha) and -n <= alpha <= -1:
+        raise ConfigurationError(
+            f"alpha = {alpha_text} rounds onto S_{n} at {precision} bits; "
+            "raise --precision or omit it"
+        )
     tol_text = _resolve(ns, conf, "tol")
     tol = None if tol_text is None else _as_mpf("tol", tol_text, precision)
     config = RunConfig(precision_bits=precision, tolerance=tol)
@@ -619,22 +624,20 @@ def cmd_experiment(ns, conf) -> int:
         alpha = sched.alpha_at(n)
         label = f"{schedule}_n{n}"
 
-    config = RunConfig(precision_bits=precision, curve_nodes=nodes, out_dir=out_dir)
-    zs = contracted_zeros(n, alpha, precision)
+    # Raises ConfigurationError (exit 2) on a bad precision or node count.
+    RunConfig(precision_bits=precision, curve_nodes=nodes, out_dir=out_dir)
     report = zero_distribution_report(n, alpha, M_curve=nodes, precision_bits=precision)
-    pd = param_decomposition(n, alpha, precision)
-    curve = trace_level_curve(pd.r_eff, nodes, min(precision, 512))
-    median = level_median(zs, precision)
+    median = level_median(report.zeros, precision)
 
     outputs = (
-        (out_dir / f"{label}_zeros.csv", zeros_csv(zs, precision)),
-        (out_dir / f"{label}_curve.csv", curve_csv(curve, precision)),
+        (out_dir / f"{label}_zeros.csv", zeros_csv(report.zeros, precision)),
+        (out_dir / f"{label}_curve.csv", curve_csv(report.curve, precision)),
         (out_dir / f"{label}_report.json", report_json(report, precision)),
     )
     for path, text in outputs:
         write_text_atomic(path, text)
         print(f"wrote {path}")
-    print(f"r_eff = {format_real(pd.r_eff, precision)}")
+    print(f"r_eff = {format_real(report.r_eff, precision)}")
     print(f"level median = {format_real(median, precision)}")
     return 0
 

@@ -60,52 +60,22 @@ def phi_map(z, precision_bits: int = 128):
 
 
 def real_crossings(r, precision_bits: int = DEFAULT_TRACE_PRECISION):
-    """Real-axis crossings of Gamma_r.
+    """Real-axis crossings of Gamma_r, by Lambert W.
 
-    x0 in (0, 1] solves x e^(1-x) = e^(-r); x_neg in (-1, 0) solves
-    |x| e^(1-x) = e^(-r).  Bisection to 2^(-precision/2), then Newton
-    polish.
+    x0 in (0, 1] solves x e^(1-x) = e^(-r), so x0 = -W_0(-e^(-1-r));
+    x_neg in (-1, 0) solves |x| e^(1-x) = e^(-r), so x_neg = -W_0(e^(-1-r)).
+    Where -e^(-1-r) rounds onto the branch point -1/e (r = 0, or r below
+    the working precision), lambertw returns a complex value near -1; x0
+    is then the corner 1.
     """
     r = mpf(r) if not isinstance(r, mpf) else r
     if not (r >= 0):
         raise InvalidParameter(f"need r >= 0, got {r}")
-    prec = op_precision(precision_bits, r)
-    with workprec(prec + 16):
-        level = mp.e ** (-r)
-
-        def bisect_newton(f, fprime, lo, hi):
-            flo = f(lo)
-            for _ in range(prec // 2 + 10):
-                mid = (lo + hi) / 2
-                fm = f(mid)
-                if fm == 0:
-                    return mid
-                if (fm < 0) == (flo < 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            x = (lo + hi) / 2
-            for _ in range(4):
-                x = x - f(x) / fprime(x)
-            return x
-
-        if r == 0:
+    with workprec(op_precision(precision_bits, r) + 16):
+        x0 = -mp.lambertw(-mp.e ** (-1 - r))
+        if r == 0 or isinstance(x0, mpc):
             x0 = mpf(1)
-        else:
-            x0 = bisect_newton(
-                lambda x: x * mp.e ** (1 - x) - level,
-                lambda x: (1 - x) * mp.e ** (1 - x),
-                mpf(2) ** (-prec),
-                mpf(1),
-            )
-        # Negative crossing: with a = -x, solve a e^(1+a) = e^(-r), a in (0, 1).
-        a = bisect_newton(
-            lambda a: a * mp.e ** (1 + a) - level,
-            lambda a: (1 + a) * mp.e ** (1 + a),
-            mpf(2) ** (-prec),
-            mpf(1),
-        )
-        return x0, -a
+        return x0, -mp.lambertw(mp.e ** (-1 - r))
 
 
 def check_node_count(M) -> None:

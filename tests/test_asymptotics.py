@@ -114,7 +114,7 @@ def test_supnorm_extremality_below_level():
     n = 20
     alpha = ap_real("-20.25", 256)
     pd = param_decomposition(n, alpha, 256)
-    val = supnorm_extremality(n, alpha, pd.r_eff, 128, 256)
+    val = supnorm_extremality(n, alpha, trace_level_curve(pd.r_eff, 128, 256), 256)
     with workprec(256):
         assert val < mp.e ** (-pd.r_eff)
         assert val > mpf("0.5") * mp.e ** (-pd.r_eff)

@@ -3,10 +3,12 @@
 import json
 import math
 import os
+import sys
 
 import pytest
 from mpmath import mpf
 
+from szegolab import rootfinding, szego
 from szegolab.asymptotics import ConvergenceReport
 from szegolab.cli import (
     ENV_PRECISION,
@@ -62,6 +64,20 @@ def test_zeros_stdout_and_degenerate_alpha(capsys):
     out = capsys.readouterr().out
     assert out.startswith("re,im,residual")
     assert out.count("0.0,0.0,0.0") == 2
+
+
+NEAR_S8 = "-7." + "9" * 120  # alpha = -8 + 1e-120, not in S_8
+
+
+def test_zeros_resolves_near_degenerate_alpha(tmp_path, capsys):
+    out = tmp_path / "zeros.csv"
+    assert main(["zeros", "--n", "8", "--alpha", NEAR_S8, "--out", str(out)]) == 0
+    assert "origin multiplicity 0" in capsys.readouterr().out
+
+
+def test_zeros_rejects_precision_that_rounds_alpha_onto_s_n(capsys):
+    assert main(["zeros", "--n", "8", "--alpha", NEAR_S8, "--precision", "192"]) == 2
+    assert "rounds onto S_8" in capsys.readouterr().err
 
 
 def test_curve_rows(tmp_path):
@@ -196,6 +212,26 @@ def test_experiment_schedule_outputs(tmp_path, capsys):
     assert len(report["moment_gaps"]) == 5
 
 
+def test_experiment_solves_and_traces_once(tmp_path, monkeypatch):
+    calls = {"find_roots": 0, "trace_level_curve": 0}
+    for name, original in (
+        ("find_roots", rootfinding.find_roots),
+        ("trace_level_curve", szego.trace_level_curve),
+    ):
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("szegolab") and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert main(["experiment", "--schedule", "generic", "--c", "0.25",
+                 "--n", "8", "--nodes", "64", "--precision", "192",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert calls == {"find_roots": 1, "trace_level_curve": 1}
+
+
 def test_write_text_atomic(tmp_path):
     target = tmp_path / "data.txt"
     write_text_atomic(target, "first\n")
@@ -214,6 +250,8 @@ def test_report_json_key_order():
         moment_gaps=(mpf(0), mpf("0.001")),
         supnorm_gap=mpf("-0.03"),
         origin_gap=mpf("0.04"),
+        zeros=None,
+        curve=None,
     )
     payload = json.loads(report_json(report, 128))
     assert list(payload) == [

@@ -47,6 +47,23 @@ def test_real_crossings_general():
             assert gap(abs(phi_map(x_neg, PREC)), level, PREC) <= mpf(2) ** -180
 
 
+def test_real_crossings_resolved_at_large_r():
+    # Both crossings are ~e^(-1-r), far below 2^-PREC at r = 200.
+    r = mpf(200)
+    x0, x_neg = real_crossings(r, PREC)
+    with workprec(PREC + 16):
+        level = mp.e ** (-r)
+        for x in (x0, x_neg):
+            assert gap(abs(phi_map(x, PREC)), level, PREC) / level <= mpf(2) ** -180
+    assert trace_level_curve(r, 16, PREC).max_residual <= mpf(2) ** -180
+
+
+def test_real_crossings_below_working_precision():
+    # -e^(-1-r) rounds onto the branch point -1/e, where lambertw is complex.
+    x0, _ = real_crossings(mpf("1e-70"), PREC)
+    assert isinstance(x0, mpf) and 0 < x0 <= 1
+
+
 def test_real_crossings_rejects_negative():
     with pytest.raises(InvalidParameter):
         real_crossings(-1, PREC)
