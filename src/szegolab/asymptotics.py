@@ -87,7 +87,7 @@ class AlphaSchedule:
 
 
 def make_schedule(kind: str, c=None, r=None) -> AlphaSchedule:
-    """generic(c) with c in (0, 1/2]; exponential(r) with r >= 0;
+    """generic(c) with c in (0, 1/2]; exponential(r) with finite r >= 0;
     superexponential (no parameters)."""
     if kind not in _SCHEDULE_KINDS:
         raise InvalidSchedule(
@@ -104,8 +104,8 @@ def make_schedule(kind: str, c=None, r=None) -> AlphaSchedule:
         if r is None:
             raise InvalidSchedule("exponential schedule needs parameter r")
         r = mpf(r) if not isinstance(r, mpf) else r
-        if r < 0:
-            raise InvalidSchedule(f"need r >= 0, got {mp.nstr(r, 8)}")
+        if not (r >= 0) or not mp.isfinite(r):
+            raise InvalidSchedule(f"need finite r >= 0, got {mp.nstr(r, 8)}")
         return AlphaSchedule(kind="exponential", r=r)
     if c is not None or r is not None:
         raise InvalidSchedule("superexponential schedule takes no parameters")

@@ -25,7 +25,7 @@ from mpmath import mp, mpc, mpf
 from .asymptotics import level_median, make_schedule, zero_distribution_report
 from .errors import ConfigurationError, SzegolabError
 from .laguerre import LaguerreSpec, coefficients, evaluate, recommended_precision
-from .measures import DiscreteMeasure, log_potential
+from .measures import log_potential
 from .potential import (
     discretize_mu_r,
     graded_mu_r,
@@ -42,31 +42,12 @@ from .precision import (
     op_precision,
     workprec,
 )
-from .rootfinding import ZeroSet, contracted_zeros
-from .szego import LevelCurve, real_crossings, trace_level_curve
+from .rootfinding import contracted_zeros
+from .szego import check_node_count, real_crossings, trace_level_curve
 
 ENV_PRECISION = "SZEGO_PRECISION_BITS"
 
 SUITES = ("lemma1", "balayage", "robin", "laguerre-identities")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one CLI invocation."""
-
-    precision_bits: int
-    curve_nodes: int = 512
-    tolerance: mpf | None = None
-    out_dir: Path = Path(".")
-
-    def __post_init__(self):
-        check_precision(self.precision_bits)
-        if self.curve_nodes % 2 != 0 or self.curve_nodes < 16:
-            raise ConfigurationError(
-                f"curve nodes must be even and >= 16, got {self.curve_nodes}"
-            )
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ConfigurationError("tolerance must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +121,22 @@ def _resolve_precision(ns, conf, default=192):
     return check_precision(_as_int("precision", value))
 
 
+def _resolve_nodes(ns, conf) -> int:
+    nodes = _as_int("nodes", _resolve(ns, conf, "nodes", 512))
+    check_node_count(nodes)
+    return nodes
+
+
+def _level_inputs(ns, conf):
+    """(r, nodes, precision) for the commands that discretize Gamma_r."""
+    r_text = _resolve(ns, conf, "r")
+    if r_text is None:
+        raise ConfigurationError(f"{ns.command} requires --r")
+    precision = _resolve_precision(ns, conf)
+    nodes = _resolve_nodes(ns, conf)
+    return _as_mpf("r", r_text, precision), nodes, precision
+
+
 # ---------------------------------------------------------------------------
 # output formatting
 
@@ -162,48 +159,11 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
-def zeros_csv(zs: ZeroSet, precision_bits: int) -> str:
-    lines = ["re,im,residual"]
-    for z, res in zip(zs.zeros, zs.residuals):
-        lines.append(
-            ",".join(
-                (
-                    format_real(z.real, precision_bits),
-                    format_real(z.imag, precision_bits),
-                    format_real(res, precision_bits),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def curve_csv(curve: LevelCurve, precision_bits: int) -> str:
-    lines = ["theta,re,im"]
-    for theta, z in curve.samples:
-        lines.append(
-            ",".join(
-                (
-                    format_real(theta, precision_bits),
-                    format_real(z.real, precision_bits),
-                    format_real(z.imag, precision_bits),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def measure_csv(mu: DiscreteMeasure, precision_bits: int) -> str:
-    lines = ["re,im,weight"]
-    for x, w in zip(mu.points, mu.weights):
-        lines.append(
-            ",".join(
-                (
-                    format_real(x.real, precision_bits),
-                    format_real(x.imag, precision_bits),
-                    format_real(w, precision_bits),
-                )
-            )
-        )
+def csv_table(header: str, rows, precision_bits: int) -> str:
+    """A CSV table: the header line, then one line of reals per row."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(format_real(x, precision_bits) for x in row))
     return "\n".join(lines) + "\n"
 
 
@@ -459,11 +419,11 @@ def cmd_zeros(ns, conf) -> int:
         )
     tol_text = _resolve(ns, conf, "tol")
     tol = None if tol_text is None else _as_mpf("tol", tol_text, precision)
-    config = RunConfig(precision_bits=precision, tolerance=tol)
-    zs = contracted_zeros(n, alpha, config.precision_bits, config.tolerance)
+    zs = contracted_zeros(n, alpha, precision, tol)
+    rows = ((z.real, z.imag, res) for z, res in zip(zs.zeros, zs.residuals))
     out = _resolve(ns, conf, "out")
     _emit(
-        zeros_csv(zs, precision),
+        csv_table("re,im,residual", rows, precision),
         out,
         f"wrote {len(zs.zeros)} zeros to {out} (origin multiplicity "
         f"{zs.origin_multiplicity})",
@@ -472,18 +432,12 @@ def cmd_zeros(ns, conf) -> int:
 
 
 def cmd_curve(ns, conf) -> int:
-    r_text = _resolve(ns, conf, "r")
-    if r_text is None:
-        raise ConfigurationError("curve requires --r")
-    config = RunConfig(
-        precision_bits=_resolve_precision(ns, conf),
-        curve_nodes=_as_int("nodes", _resolve(ns, conf, "nodes", 512)),
-    )
-    r = _as_mpf("r", r_text, config.precision_bits)
-    curve = trace_level_curve(r, config.curve_nodes, config.precision_bits)
+    r, nodes, precision = _level_inputs(ns, conf)
+    curve = trace_level_curve(r, nodes, precision)
+    rows = ((theta, z.real, z.imag) for theta, z in curve.samples)
     out = _resolve(ns, conf, "out")
     _emit(
-        curve_csv(curve, config.precision_bits),
+        csv_table("theta,re,im", rows, precision),
         out,
         f"wrote {len(curve.samples)} nodes to {out} (max residual "
         f"{mp.nstr(curve.max_residual, 4)})",
@@ -492,18 +446,12 @@ def cmd_curve(ns, conf) -> int:
 
 
 def cmd_measure(ns, conf) -> int:
-    r_text = _resolve(ns, conf, "r")
-    if r_text is None:
-        raise ConfigurationError("measure requires --r")
-    config = RunConfig(
-        precision_bits=_resolve_precision(ns, conf),
-        curve_nodes=_as_int("nodes", _resolve(ns, conf, "nodes", 512)),
-    )
-    r = _as_mpf("r", r_text, config.precision_bits)
-    mu = discretize_mu_r(r, config.curve_nodes, config.precision_bits)
+    r, nodes, precision = _level_inputs(ns, conf)
+    mu = discretize_mu_r(r, nodes, precision)
+    rows = ((x.real, x.imag, w) for x, w in zip(mu.points, mu.weights))
     out = _resolve(ns, conf, "out")
     _emit(
-        measure_csv(mu, config.precision_bits),
+        csv_table("re,im,weight", rows, precision),
         out,
         f"wrote {len(mu.points)} support points to {out}",
     )
@@ -511,36 +459,21 @@ def cmd_measure(ns, conf) -> int:
 
 
 def cmd_potential(ns, conf) -> int:
-    r_text = _resolve(ns, conf, "r")
-    if r_text is None:
-        raise ConfigurationError("potential requires --r")
-    config = RunConfig(
-        precision_bits=_resolve_precision(ns, conf),
-        curve_nodes=_as_int("nodes", _resolve(ns, conf, "nodes", 512)),
-    )
-    prec = config.precision_bits
-    r = _as_mpf("r", r_text, prec)
+    r, nodes, prec = _level_inputs(ns, conf)
     at_values = getattr(ns, "at", None) or []
     if not at_values and conf.get("at") is not None:
         at_values = [conf["at"]]
     if not at_values:
         at_values = ["0"]
     points = [_as_mpc("at", text, prec) for text in at_values]
-    mu = discretize_mu_r(r, config.curve_nodes, prec)
-    lines = ["re,im,potential"]
-    for p in points:
-        value = log_potential(mu, p, prec)
-        lines.append(
-            ",".join(
-                (
-                    format_real(p.real, prec),
-                    format_real(p.imag, prec),
-                    format_real(value, prec),
-                )
-            )
-        )
+    mu = discretize_mu_r(r, nodes, prec)
+    rows = [(p.real, p.imag, log_potential(mu, p, prec)) for p in points]
     out = _resolve(ns, conf, "out")
-    _emit("\n".join(lines) + "\n", out, f"wrote {len(points)} evaluations to {out}")
+    _emit(
+        csv_table("re,im,potential", rows, prec),
+        out,
+        f"wrote {len(points)} evaluations to {out}",
+    )
     return 0
 
 
@@ -552,12 +485,9 @@ def cmd_verify(ns, conf) -> int:
     precision = _resolve_precision(ns, conf, default=default_prec)
     count = _as_int("count", _resolve(ns, conf, "count", 128))
     grid = _as_int("grid", _resolve(ns, conf, "grid")) or 16 * count
-    config = RunConfig(
-        precision_bits=precision,
-        curve_nodes=_as_int("nodes", _resolve(ns, conf, "nodes", 512)),
-    )
+    nodes = _resolve_nodes(ns, conf)
     r = _as_mpf("r", _resolve(ns, conf, "r", "1"), precision)
-    checks = run_suite(suite, r, config.curve_nodes, precision, count, grid)
+    checks = run_suite(suite, r, nodes, precision, count, grid)
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
     failed = sum(1 for c in checks if not c.passed)
@@ -583,7 +513,9 @@ def cmd_leja(ns, conf) -> int:
     )
     out = _resolve(ns, conf, "out")
     if out is not None:
-        write_text_atomic(out, measure_csv(result.measure, precision))
+        mu = result.measure
+        rows = ((x.real, x.imag, w) for x, w in zip(mu.points, mu.weights))
+        write_text_atomic(out, csv_table("re,im,weight", rows, precision))
         print(f"wrote {count} Leja points to {out}")
     return 0
 
@@ -593,7 +525,7 @@ def cmd_experiment(ns, conf) -> int:
     schedule = _resolve(ns, conf, "schedule")
     if (fig is None) == (schedule is None):
         raise ConfigurationError("experiment requires exactly one of --fig, --schedule")
-    nodes = _as_int("nodes", _resolve(ns, conf, "nodes", 512))
+    nodes = _resolve_nodes(ns, conf)
     out_dir = Path(_resolve(ns, conf, "out-dir", "."))
 
     if fig is not None:
@@ -624,17 +556,19 @@ def cmd_experiment(ns, conf) -> int:
         alpha = sched.alpha_at(n)
         label = f"{schedule}_n{n}"
 
-    # Raises ConfigurationError (exit 2) on a bad precision or node count.
-    RunConfig(precision_bits=precision, curve_nodes=nodes, out_dir=out_dir)
     report = zero_distribution_report(n, alpha, M_curve=nodes, precision_bits=precision)
     median = level_median(report.zeros, precision)
 
+    zs = report.zeros
+    zero_rows = ((z.real, z.imag, res) for z, res in zip(zs.zeros, zs.residuals))
+    curve_rows = ((theta, z.real, z.imag) for theta, z in report.curve.samples)
     outputs = (
-        (out_dir / f"{label}_zeros.csv", zeros_csv(report.zeros, precision)),
-        (out_dir / f"{label}_curve.csv", curve_csv(report.curve, precision)),
-        (out_dir / f"{label}_report.json", report_json(report, precision)),
+        (f"{label}_zeros.csv", csv_table("re,im,residual", zero_rows, precision)),
+        (f"{label}_curve.csv", csv_table("theta,re,im", curve_rows, precision)),
+        (f"{label}_report.json", report_json(report, precision)),
     )
-    for path, text in outputs:
+    for name, text in outputs:
+        path = out_dir / name
         write_text_atomic(path, text)
         print(f"wrote {path}")
     print(f"r_eff = {format_real(report.r_eff, precision)}")

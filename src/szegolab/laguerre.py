@@ -26,22 +26,24 @@ from .precision import (
 
 
 def _as_scalar(x, what: str):
-    """Coerce int/float/mpf to mpf without re-rounding an existing mpf.
+    """Coerce int/float/mpf to a finite mpf without re-rounding an existing mpf.
 
     Strings are rejected: parsing a decimal literal needs an explicit
     precision choice, which is what precision.ap_real is for.
     """
-    if isinstance(x, mpf):
-        return x
     if isinstance(x, bool) or isinstance(x, str):
         raise InvalidParameter(f"{what} must be numeric; build strings via ap_real")
     if isinstance(x, int):
         with mp.workprec(max(64, x.bit_length() + 1)):
-            return mpf(x)
-    if isinstance(x, float):
+            x = mpf(x)
+    elif isinstance(x, float):
         with mp.workprec(64):
-            return mpf(x)
-    raise InvalidParameter(f"unsupported type for {what}: {type(x).__name__}")
+            x = mpf(x)
+    elif not isinstance(x, mpf):
+        raise InvalidParameter(f"unsupported type for {what}: {type(x).__name__}")
+    if not mp.isfinite(x):
+        raise InvalidParameter(f"{what} must be finite, got {x}")
+    return x
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,9 @@ SINGULAR_DISTANCE = mpf("1e-30")
 
 
 def log_potential(mu: DiscreteMeasure, z, precision_bits: int) -> mpf:
-    """Logarithmic potential V^mu(z) = -sum_i w_i log|z - x_i|."""
+    """Logarithmic potential V^mu(z) = -sum_i w_i log|z - x_i| at a finite z."""
+    if not mp.isfinite(z):
+        raise InvalidParameter(f"evaluation point must be finite, got {z}")
     prec = op_precision(precision_bits, z, *mu.points)
     with mp.workprec(prec):
         zc = mpc(z)

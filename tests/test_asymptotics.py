@@ -34,6 +34,9 @@ def test_make_schedule_validation():
         make_schedule("exponential")
     with pytest.raises(InvalidSchedule):
         make_schedule("exponential", r=mpf("-0.5"))
+    for bad in (mp.inf, mp.nan):
+        with pytest.raises(InvalidSchedule):
+            make_schedule("exponential", r=bad)
     with pytest.raises(InvalidSchedule):
         make_schedule("superexponential", c=mpf("0.1"))
 

@@ -10,14 +10,7 @@ from mpmath import mpf
 
 from szegolab import rootfinding, szego
 from szegolab.asymptotics import ConvergenceReport
-from szegolab.cli import (
-    ENV_PRECISION,
-    RunConfig,
-    main,
-    report_json,
-    write_text_atomic,
-)
-from szegolab.errors import ConfigurationError, PrecisionError
+from szegolab.cli import ENV_PRECISION, main, report_json, write_text_atomic
 
 
 @pytest.fixture(autouse=True)
@@ -169,6 +162,9 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert main(["curve", "--config", str(cfg), "--nodes", "16",
                  "--precision", "128", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 17
+    # neither flag nor config: the default of 512 nodes
+    assert main(["curve", "--r", "1", "--precision", "64", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 513
 
 
 def test_config_file_errors(tmp_path):
@@ -178,16 +174,32 @@ def test_config_file_errors(tmp_path):
     assert main(["curve", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
-def test_run_config_invariants():
-    with pytest.raises(PrecisionError):
-        RunConfig(precision_bits=32)
-    with pytest.raises(ConfigurationError):
-        RunConfig(precision_bits=128, curve_nodes=15)
-    with pytest.raises(ConfigurationError):
-        RunConfig(precision_bits=128, curve_nodes=34, tolerance=mpf(0))
-    config = RunConfig(precision_bits=128)
-    assert config.curve_nodes == 512
-    assert str(config.out_dir) == "."
+def test_invalid_settings_are_usage_errors(tmp_path, capsys):
+    # each rule is the library's own; the CLI only maps its error to exit 2
+    assert main(["curve", "--r", "1", "--precision", "32"]) == 2
+    assert main(["curve", "--r", "1", "--nodes", "15"]) == 2
+    assert main(["zeros", "--n", "4", "--alpha", "0.5", "--tol", "0"]) == 2
+    assert main(["experiment", "--schedule", "generic", "--c", "0.25",
+                 "--n", "8", "--nodes", "7", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count("usage error") == 4
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--n", "4", "--alpha", "inf", "--precision", "128"],
+    ["zeros", "--n", "4", "--alpha", "nan", "--precision", "128"],
+    ["experiment", "--schedule", "exponential", "--rate", "inf", "--n", "8"],
+    ["experiment", "--schedule", "exponential", "--rate", "nan", "--n", "8"],
+    ["potential", "--r", "1", "--at", "nan", "--nodes", "16"],
+    ["potential", "--r", "1", "--at", "inf", "--nodes", "16"],
+], ids=["alpha-inf", "alpha-nan", "rate-inf", "rate-nan", "at-nan", "at-inf"])
+def test_non_finite_inputs_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err
+    assert os.listdir(tmp_path) == []
 
 
 def test_experiment_requires_exactly_one_mode(tmp_path):

@@ -32,6 +32,9 @@ def test_spec_validation():
         LaguerreSpec(3, mpf(1), mpf(0))
     with pytest.raises(InvalidParameter):
         LaguerreSpec(3, "1.5", mpf(1))
+    for bad in (mp.inf, -mp.inf, mp.nan, float("inf"), float("nan")):
+        with pytest.raises(InvalidParameter):
+            LaguerreSpec(3, bad, mpf(1))
     spec = LaguerreSpec(3, 1.5, 2)
     assert spec.alpha == mpf("1.5") and spec.scale == mpf(2)
 

@@ -119,6 +119,13 @@ def test_log_potential_singular_at_support():
         log_potential(mu, mu.points[3], PREC)
 
 
+def test_log_potential_rejects_non_finite_point():
+    mu = DiscreteMeasure(points=(mpc(0),), weights=(mpf(1),))
+    for bad in (mpc(mp.nan), mpc(mp.inf), mpc(0, -mp.inf)):
+        with pytest.raises(InvalidParameter):
+            log_potential(mu, bad, PREC)
+
+
 def test_verify_balayage_identities():
     report = verify_balayage(mpf(1), 256, (mpc("0.05"),), (mpc(2), mpc(0, "1.5")), PREC)
     assert report.worst("origin") <= mpf("1e-10")
