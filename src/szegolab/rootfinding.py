@@ -3,10 +3,27 @@
 Aberth-Ehrlich iteration with Newton polish.  Exact origin roots (all
 trailing coefficients identically zero, the alpha = -k degenerate case)
 are deflated before iterating, since simultaneous iterations stagnate on
-multiple roots.  The default initial guess is a circle of radius 1/2 with
-an irrational phase offset; when that fails, or when the coefficients
-signal that every root is far inside it (|c_0|^(1/m) tiny), restarts use
-the geometric-mean radius and then Newton-polygon annuli.
+multiple roots.
+
+Starts form a restart ladder, tried in order until one converges:
+
+* limit-law: the paper's limit law puts the zeros of L_n^(alpha)(n z) on
+  Gamma_(r_eff), distributed like mu_(r_eff), so the m seeds are
+  z_k = -W_0(-e^(-1-r_eff) e^(i theta_k)), theta_k = 2 pi (k + 1/2) / m
+  (szego's closed form, evaluated at 64 bits and promoted by Aberth).
+  Used only when the coefficient list carries its LaguerreSpec, no origin
+  roots were deflated, dist(alpha, S_n) <= 1 (r_eff >= 0, the paper's
+  regime) and the cluster signal below is off; otherwise skipped.
+* circle: radius 1/2 with an irrational phase offset.
+* geometric: the geometric-mean radius |c_0|^(1/m).  When that radius
+  signals that every root is far inside |z| = 1/2, it comes before the
+  circle.
+* newton-polygon: annuli from the Newton polygon of the coefficients.
+
+With real coefficients, a root whose imaginary part is below its residual
+and that has no other root within twice that distance is returned as real
+(Im z = 0 exactly), so the order of real zeros does not hang on the sign
+of rounding noise.
 """
 
 from __future__ import annotations
@@ -16,10 +33,17 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .errors import InvalidParameter, NonConvergence
-from .laguerre import CoeffList, LaguerreSpec, monic_rescaled, recommended_precision
+from .errors import DegenerateParameter, InvalidParameter, NonConvergence
+from .laguerre import (
+    CoeffList,
+    LaguerreSpec,
+    monic_rescaled,
+    param_decomposition,
+    recommended_precision,
+)
 from .measures import DiscreteMeasure
 from .precision import mantissa_bits, op_precision, workprec
+from .szego import curve_point
 
 SWEEP_CAP = 200
 
@@ -31,15 +55,27 @@ _GOLDEN = "0.6180339887498948482045868343656381177"
 # default circle |z| = 1/2; start from the geometric-mean radius instead.
 _CLUSTER_SIGNAL = mpf("1e-3")
 
+# Precision of the limit-law seeds.  Aberth promotes them to working
+# precision; seeds at working precision take the same sweeps and cost more.
+_SEED_BITS = 64
+
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """All roots (with multiplicity) plus per-root residuals |p/p'|."""
+    """All roots (with multiplicity) plus per-root residuals |p/p'|.
+
+    start names the ladder rung whose Aberth run delivered the roots
+    ("limit-law", "circle", "geometric", "newton-polygon"), or
+    "closed-form" when at most two roots remained after deflation; sweeps
+    counts that run's Aberth sweeps (0 for closed forms).
+    """
 
     zeros: tuple
     residuals: tuple
     origin_multiplicity: int
     spec: LaguerreSpec | None = None
+    start: str = "closed-form"
+    sweeps: int = 0
 
     def __len__(self) -> int:
         return len(self.zeros)
@@ -61,6 +97,21 @@ def _start_circle(m, radius, offset_turns):
         angle = 2 * mp.pi * (i + offset_turns) / m
         pts.append(radius * mp.e ** (1j * angle))
     return pts
+
+
+def _limit_law_starts(spec, m):
+    """m seeds on Gamma_(r_eff) at theta_k = 2 pi (k + 1/2) / m, or None
+    when alpha is degenerate or outside the paper's regime (r_eff < 0)."""
+    try:
+        r_eff = param_decomposition(spec.n, spec.alpha).r_eff
+    except DegenerateParameter:
+        return None
+    if r_eff < 0:
+        return None
+    with workprec(_SEED_BITS):
+        r_eff = +r_eff
+        thetas = [2 * mp.pi * (k + mpf(1) / 2) / m for k in range(m)]
+    return [curve_point(r_eff, t, _SEED_BITS) for t in thetas]
 
 
 def _newton_polygon_starts(coeffs, offset_turns):
@@ -91,10 +142,13 @@ def _newton_polygon_starts(coeffs, offset_turns):
 
 
 def _aberth(coeffs, starts, tol):
-    """Run Aberth-Ehrlich from the given starts; returns (roots, converged)."""
+    """Run Aberth-Ehrlich from the given starts.
+
+    Returns (roots, converged, sweeps).
+    """
     z = [mpc(s) for s in starts]
     m = len(z)
-    for _ in range(SWEEP_CAP):
+    for sweep in range(1, SWEEP_CAP + 1):
         max_step = mpf(0)
         for i in range(m):
             p, dp = _horner_pair(coeffs, z[i])
@@ -109,10 +163,14 @@ def _aberth(coeffs, starts, tol):
             z[i] = z[i] - step
             max_step = max(max_step, abs(newton), abs(step))
         if max_step < tol:
-            break
-    else:
-        return z, False
-    return z, True
+            return z, True, sweep
+    return z, False, SWEEP_CAP
+
+
+def _residual(coeffs, z):
+    p, dp = _horner_pair(coeffs, z)
+    scale = abs(dp) if dp != 0 else mpf(2) ** (-mp.prec)
+    return abs(p) / scale
 
 
 def _polish_and_residuals(coeffs, roots):
@@ -124,11 +182,24 @@ def _polish_and_residuals(coeffs, roots):
             if dp == 0 or p == 0:
                 break
             z = z - p / dp
-        p, dp = _horner_pair(coeffs, z)
-        scale = abs(dp) if dp != 0 else mpf(2) ** (-mp.prec)
         polished.append(z)
-        residuals.append(abs(p) / scale)
+        residuals.append(_residual(coeffs, z))
     return polished, residuals
+
+
+def _snap_real(coeffs, roots, residuals):
+    """Set Im z = 0 where |Im z| <= residual and no other root lies within
+    2 |Im z|; the residual is recomputed at the real point."""
+    roots, residuals = list(roots), list(residuals)
+    for i, z in enumerate(roots):
+        y = abs(z.imag)
+        if y == 0 or y > residuals[i]:
+            continue
+        if any(abs(z - w) <= 2 * y for j, w in enumerate(roots) if j != i):
+            continue
+        roots[i] = mpc(z.real)
+        residuals[i] = _residual(coeffs, roots[i])
+    return roots, residuals
 
 
 def _sort_key(z):
@@ -144,8 +215,8 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
         tol = mpf(2) ** (-(precision_bits // 2))
     else:
         tol = mpf(tol) if not isinstance(tol, mpf) else tol
-        if not (tol > 0):
-            raise InvalidParameter(f"need tol > 0, got {tol}")
+        if not (tol > 0) or not mp.isfinite(tol):
+            raise InvalidParameter(f"need finite tol > 0, got {tol}")
     n = coeffs.degree
 
     with workprec(prec + 16):
@@ -157,6 +228,7 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
         m = len(c) - 1
         zeros = [mpc(0)] * mult
         residuals = [mpf(0)] * mult
+        start, sweeps = "closed-form", 0
 
         if m == 1:
             root_list, res_list = _polish_and_residuals(c, [-mpc(c[0])])
@@ -167,9 +239,12 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
             q = -s / 2
             root_list, res_list = _polish_and_residuals(c, [q, c0 / q])
         elif m >= 3:
-            root_list, res_list = _iterate_with_restarts(c, m, tol)
+            spec = coeffs.spec if mult == 0 else None
+            root_list, res_list, start, sweeps = _iterate_with_restarts(c, m, tol, spec)
         else:
             root_list, res_list = [], []
+        if not any(isinstance(a, mpc) for a in c):
+            root_list, res_list = _snap_real(c, root_list, res_list)
 
         if res_list and max(res_list) > tol:
             raise NonConvergence(
@@ -188,31 +263,38 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
         residuals=tuple(residuals),
         origin_multiplicity=mult,
         spec=coeffs.spec,
+        start=start,
+        sweeps=sweeps,
     )
 
 
-def _iterate_with_restarts(c, m, tol):
+def _iterate_with_restarts(c, m, tol, spec):
+    """Aberth from each rung of the ladder in turn; returns (roots,
+    residuals, rung name, sweeps) of the first to converge within tol,
+    else of the attempt with the smallest worst residual."""
     offset = mpf(_GOLDEN)
     geo_radius = abs(c[0]) ** (mpf(1) / m)
-    attempts = []
+    circle = ("circle", _start_circle(m, mpf(1) / 2, offset))
+    geometric = ("geometric", _start_circle(m, geo_radius, offset))
     if geo_radius < _CLUSTER_SIGNAL:
-        attempts.append(_start_circle(m, geo_radius, offset))
-        attempts.append(_start_circle(m, mpf(1) / 2, offset))
+        attempts = [geometric, circle]
     else:
-        attempts.append(_start_circle(m, mpf(1) / 2, offset))
-        attempts.append(_start_circle(m, geo_radius, offset))
-    attempts.append(_newton_polygon_starts(c, offset))
+        attempts = [circle, geometric]
+        law = None if spec is None else _limit_law_starts(spec, m)
+        if law is not None:
+            attempts.insert(0, ("limit-law", law))
+    attempts.append(("newton-polygon", _newton_polygon_starts(c, offset)))
 
-    best_roots, best_res = None, None
-    for starts in attempts:
-        roots, converged = _aberth(c, starts, tol)
+    best = None
+    for name, starts in attempts:
+        roots, converged, sweeps = _aberth(c, starts, tol)
         roots, res = _polish_and_residuals(c, roots)
         worst = max(res)
-        if best_res is None or worst < max(best_res):
-            best_roots, best_res = roots, res
+        if best is None or worst < max(best[1]):
+            best = (roots, res, name, sweeps)
         if converged and worst <= tol:
-            return roots, res
-    return best_roots, best_res
+            return roots, res, name, sweeps
+    return best
 
 
 def contracted_zeros(

@@ -192,7 +192,10 @@ def test_invalid_settings_are_usage_errors(tmp_path, capsys):
     ["experiment", "--schedule", "exponential", "--rate", "nan", "--n", "8"],
     ["potential", "--r", "1", "--at", "nan", "--nodes", "16"],
     ["potential", "--r", "1", "--at", "inf", "--nodes", "16"],
-], ids=["alpha-inf", "alpha-nan", "rate-inf", "rate-nan", "at-nan", "at-inf"])
+    ["zeros", "--n", "4", "--alpha", "0.5", "--tol", "inf", "--precision", "128"],
+    ["zeros", "--n", "4", "--alpha", "0.5", "--tol", "nan", "--precision", "128"],
+], ids=["alpha-inf", "alpha-nan", "rate-inf", "rate-nan", "at-nan", "at-inf",
+        "tol-inf", "tol-nan"])
 def test_non_finite_inputs_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2

@@ -5,6 +5,7 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf
 
+from szegolab import rootfinding
 from szegolab.errors import InvalidParameter, NonConvergence
 from szegolab.laguerre import LaguerreSpec, monic_rescaled
 from szegolab.precision import ap_real, op_precision, workprec
@@ -47,6 +48,13 @@ def test_find_roots_requires_monic():
         find_roots(bad, 128)
     with pytest.raises(InvalidParameter):
         find_roots(_coeff_list(-1, 0, 1), 128, tol=0)
+
+
+def test_find_roots_rejects_non_finite_tol():
+    # tol = inf would stop Aberth at once and return the starting points.
+    for tol in ("inf", "nan"):
+        with pytest.raises(InvalidParameter):
+            find_roots(_coeff_list(-1, 0, 1), 128, tol=mpf(tol))
 
 
 def test_monic_rescaled_triple_origin_root():
@@ -137,3 +145,75 @@ def test_counting_measure():
     assert all(w == mu.weights[0] for w in mu.weights)
     with pytest.raises(InvalidParameter):
         counting_measure(ZeroSet(zeros=(), residuals=(), origin_multiplicity=0))
+
+
+LADDER = ("limit-law", "circle", "geometric", "newton-polygon")
+
+
+def _fail_first(monkeypatch, k):
+    """Make the first k Aberth runs report non-convergence; returns the
+    list of attempts made."""
+    real = rootfinding._aberth
+    calls = []
+
+    def aberth(coeffs, starts, tol):
+        calls.append(len(starts))
+        if len(calls) <= k:
+            return list(starts), False, 0
+        return real(coeffs, starts, tol)
+
+    monkeypatch.setattr(rootfinding, "_aberth", aberth)
+    return calls
+
+
+@pytest.mark.parametrize("k", range(len(LADDER)), ids=LADDER)
+def test_every_rung_delivers_the_same_rows(k, monkeypatch):
+    # n = 9 has one real zero; without Im = 0 snapping, the law and circle
+    # starts leave rounding noise of opposite signs on it, which sorts it
+    # into the first row from one start and the last row from the other.
+    prec = 192
+    tol = mpf(2) ** -(prec // 2)
+    reference = contracted_zeros(9, mpf("-9.5"), prec)
+    calls = _fail_first(monkeypatch, k)
+    zs = contracted_zeros(9, mpf("-9.5"), prec)
+    assert len(calls) == k + 1
+    assert zs.start == LADDER[k]
+    assert 0 < zs.sweeps <= rootfinding.SWEEP_CAP
+    assert max(zs.residuals) <= tol
+    bound = 2 * max(max(zs.residuals), max(reference.residuals))
+    with workprec(prec + 16):
+        assert all(abs(a - b) <= bound for a, b in zip(zs.zeros, reference.zeros))
+    assert [z.imag == 0 for z in zs.zeros] == [z.imag == 0 for z in reference.zeros]
+    assert zs.zeros[-1].imag == 0 and zs.zeros[-1].real < 0
+
+
+def _superexponential_alpha(n):
+    with workprec(640):
+        return -n + mp.e ** (-(mpf(n) ** 2))
+
+
+@pytest.mark.parametrize(
+    "n, alpha, start",
+    [
+        (4, mpf("0.5"), "circle"),  # dist(alpha, S_n) = 1.5 > 1
+        (12, None, "geometric"),  # superexponential: cluster signal on
+        (6, -4, "closed-form"),  # 4 origin roots deflated, 2 left
+        (9, -4, "circle"),  # 4 origin roots deflated, 5 left
+    ],
+    ids=["dist-above-one", "cluster", "deflated-quadratic", "deflated"],
+)
+def test_limit_law_rung_skipped(n, alpha, start, monkeypatch):
+    if alpha is None:
+        alpha = _superexponential_alpha(n)
+    calls = _fail_first(monkeypatch, 0)
+    zs = contracted_zeros(n, alpha)
+    assert zs.start == start
+    assert len(calls) == (0 if start == "closed-form" else 1)
+    assert max(zs.residuals) <= mpf(2) ** -64
+
+
+def test_limit_law_seeds_figure_two():
+    zs = contracted_zeros(60, ap_real("-60.1", 512), 512)
+    assert zs.start == "limit-law"
+    assert zs.sweeps <= 8
+    assert max(zs.residuals) <= mpf(2) ** -256
