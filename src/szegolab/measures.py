@@ -9,8 +9,9 @@ from mpmath import mp, mpc, mpf
 from .errors import InvalidParameter, SingularEvaluation
 from .precision import mantissa_bits, op_precision
 
-# Weight-sum slack: weights are constructed exactly (1/M each) but may pass
-# through decimal serialization, so allow a generous binary epsilon.
+# Weight-sum slack: weights (1/M, or the graded (1 - cos s_j)/M) are rounded
+# at working precision and may pass through decimal serialization, so allow
+# a generous binary epsilon.
 MASS_TOL_BITS = 32
 
 

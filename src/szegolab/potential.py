@@ -11,9 +11,6 @@ inverse of phi on Gamma_r.  Two discretizations are built here:
   s-grid, with weights (1 - cos s_j)/M.  Its error decays like M^(-9/2)
   at r = 0 and spectrally for r > 0; the lemma-1 and balayage checks use
   it, so their r = 0 identities hold to about 1e-16 at M = 4096.
-
-refined_moment / refined_potential (theta = u^2 with adaptive quadrature)
-give single integrals against mu_r to full precision, corner included.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from .szego import (
     LevelCurve,
     RegionTag,
     check_node_count,
-    curve_point,
     level_curve_at,
     locate,
     trace_level_curve,
@@ -178,41 +174,6 @@ def harmonic_moments(mu: DiscreteMeasure, k_max: int, precision_bits: int = 192)
     return out
 
 
-def refined_moment(r, k: int, precision_bits: int = 192) -> mpf:
-    """Moment int z^k dmu_r by corner-aware quadrature (theta = u^2).
-
-    The substitution makes the integrand analytic in u even at the r = 0
-    corner, restoring spectral accuracy where the equal-weight node sum is
-    limited to M^(-3/2).
-    """
-    prec = op_precision(precision_bits)
-    with workprec(prec + 16):
-        def f(u):
-            # theta = u^2 on the upper half; conjugation symmetry doubles Re.
-            return mp.re(curve_point(r, u * u, prec) ** k) * 2 * u
-
-        val = mp.quad(f, [0, mp.sqrt(mp.pi)], maxdegree=10) / mp.pi
-        return val
-
-
-def refined_potential(r, z, precision_bits: int = 192) -> mpf:
-    """V^(mu_r)(z) by the same corner-aware quadrature."""
-    prec = op_precision(precision_bits, z)
-    with workprec(prec + 16):
-        zc = mpc(z)
-
-        def f(u):
-            return -mp.log(abs(zc - curve_point(r, u * u, prec))) * 2 * u
-
-        upper = mp.quad(f, [0, mp.sqrt(mp.pi)], maxdegree=10)
-
-        def g(u):
-            return -mp.log(abs(zc - curve_point(r, -(u * u), prec))) * 2 * u
-
-        lower = mp.quad(g, [0, mp.sqrt(mp.pi)], maxdegree=10)
-        return (upper + lower) / (2 * mp.pi)
-
-
 def verify_balayage(
     r,
     M: int,
@@ -279,16 +240,12 @@ class EnergyResult:
         return iter((self.energy, self.robin))
 
 
-def weighted_energy(
-    mu: DiscreteMeasure,
-    field: ExternalField = DEFAULT_FIELD,
-    precision_bits: int = 128,
-) -> EnergyResult:
+def weighted_energy(mu: DiscreteMeasure, precision_bits: int = 128) -> EnergyResult:
     """Discrete weighted energy of mu, diagonal excluded.
 
-    I = -sum_{i != j} w_i w_j log|x_i - x_j| + 2 sum_i w_i phi(x_i); the
-    diagonal exclusion biases I by O(log M / M), which the calling checks
-    absorb into their tolerances.
+    I = -sum_{i != j} w_i w_j log|x_i - x_j| + 2 sum_i w_i phi_ext(x_i)
+    with phi_ext from DEFAULT_FIELD; the diagonal exclusion biases I by
+    O(log M / M), which the calling checks absorb into their tolerances.
     """
     pts = mu.points
     if len(pts) < 2:
@@ -310,7 +267,7 @@ def weighted_energy(
                     )
                 terms.append(-2 * wi * mu.weights[j] * mp.log(d))
         field_sum = mp.fsum(
-            (w * field.phi(x, precision_bits) for x, w in zip(pts, mu.weights))
+            w * DEFAULT_FIELD.phi(x, precision_bits) for x, w in zip(pts, mu.weights)
         )
         energy = mp.fsum(terms) + 2 * field_sum
         return EnergyResult(energy=energy, robin=energy - field_sum)
@@ -323,13 +280,7 @@ class LejaResult:
     robin_estimate: mpf
 
 
-def weighted_leja(
-    r,
-    N: int,
-    grid_M: int,
-    precision_bits: int = 128,
-    field: ExternalField = DEFAULT_FIELD,
-) -> LejaResult:
+def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResult:
     """Greedy weighted Leja points on Gamma_r.
 
     z_k maximizes omega(z)^k prod_{j<k} |z - z_j| over the traced grid
@@ -346,7 +297,7 @@ def weighted_leja(
     grid = curve.points
     prec = op_precision(precision_bits, r)
     with workprec(prec + 16):
-        log_w = [-field.phi(g, precision_bits) for g in grid]
+        log_w = [-DEFAULT_FIELD.phi(g, precision_bits) for g in grid]
         log_prod = [mpf(0)] * grid_M
         chosen = []
         for k in range(1, N + 1):

@@ -34,7 +34,6 @@ class LevelCurve:
 
     r: mpf
     samples: tuple
-    closed_flag: bool
     level: mpf
     max_residual: mpf
     precision_bits: int
@@ -51,12 +50,23 @@ class LevelCurve:
         return tuple(t for t, _ in self.samples)
 
 
+def _phi(z):
+    # z e^(1-z) at the caller's working precision.
+    return z * mp.e ** (1 - z)
+
+
 def phi_map(z, precision_bits: int = 128):
     """phi(z) = z e^(1-z)."""
     prec = op_precision(precision_bits, z)
     with workprec(prec):
-        zc = mpc(z) if isinstance(z, (complex, mpc)) else mpf(z)
-        return zc * mp.e ** (1 - zc)
+        return _phi(mpc(z) if isinstance(z, (complex, mpc)) else mpf(z))
+
+
+def _check_r(r) -> mpf:
+    r = mpf(r) if not isinstance(r, mpf) else r
+    if not (r >= 0) or not mp.isfinite(r):
+        raise InvalidParameter(f"need finite r >= 0, got {r}")
+    return r
 
 
 def real_crossings(r, precision_bits: int = DEFAULT_TRACE_PRECISION):
@@ -68,9 +78,7 @@ def real_crossings(r, precision_bits: int = DEFAULT_TRACE_PRECISION):
     the working precision), lambertw returns a complex value near -1; x0
     is then the corner 1.
     """
-    r = mpf(r) if not isinstance(r, mpf) else r
-    if not (r >= 0):
-        raise InvalidParameter(f"need r >= 0, got {r}")
+    r = _check_r(r)
     with workprec(op_precision(precision_bits, r) + 16):
         x0 = -mp.lambertw(-mp.e ** (-1 - r))
         if r == 0 or isinstance(x0, mpc):
@@ -82,13 +90,6 @@ def check_node_count(M) -> None:
     """Validate a node count for a discretized Gamma_r: an even int >= 16."""
     if not isinstance(M, int) or M < 16 or M % 2 != 0:
         raise InvalidParameter(f"need even node count M >= 16, got {M}")
-
-
-def _check_r(r) -> mpf:
-    r = mpf(r) if not isinstance(r, mpf) else r
-    if not (r >= 0) or not mp.isfinite(r):
-        raise InvalidParameter(f"need finite r >= 0, got {r}")
-    return r
 
 
 def _curve_point(r, theta):
@@ -147,47 +148,34 @@ def _level_curve(r, thetas, precision_bits) -> LevelCurve:
         x0, _ = real_crossings(r, precision_bits)
         samples = [(thetas[0], mpc(x0))]
         samples += [(t, _curve_point(r, t)) for t in thetas[1:]]
-        residual = max(abs(abs(z * mp.e ** (1 - z)) - level) for _, z in samples)
+        residual = max(abs(abs(_phi(z)) - level) for _, z in samples)
     return LevelCurve(
         r=r,
         samples=tuple(samples),
-        closed_flag=True,
         level=level,
         max_residual=residual,
         precision_bits=precision_bits,
     )
 
 
-def winding_number(points, z) -> int:
-    """Winding number about z of the closed polyline through points."""
-    total = mpf(0)
-    m = len(points)
-    for j in range(m):
-        a = points[j] - z
-        b = points[(j + 1) % m] - z
-        total += mp.arg(b / a)
-    return int(mp.nint(total / (2 * mp.pi)))
-
-
-def locate(z, curve: LevelCurve, tol=None) -> RegionTag:
+def locate(z, curve: LevelCurve) -> RegionTag:
     """Classify z against Gamma_r: on the curve, interior, or exterior.
 
-    OnCurve means the defining-equation residual ||phi(z)| - e^(-r)| is
-    below tol and |z| <= 1 + tol.  Interior/Exterior use the winding
-    number of the traced polyline (the sublevel set |phi| < e^(-r) has an
-    extra unbounded component along the positive real axis, so the
-    inequality alone cannot classify).
+    OnCurve means the defining-equation residual ||phi(z)| - e^(-r)| is at
+    most tol = max(1e-12, 8 * curve.max_residual) and |z| <= 1 + tol.
+    Otherwise z is interior iff |z| < 1 and |phi(z)| < e^(-r).  That set
+    is the inside of Gamma_r: log|phi| is harmonic away from 0 and
+    |phi| >= 1 on the unit circle, so by the minimum principle each of its
+    components contains 0.  The unbounded component of |phi| < e^(-r)
+    along the positive real axis lies outside the unit disk.
     """
     prec = op_precision(curve.precision_bits, z)
     with workprec(prec + 16):
-        if tol is None:
-            tol = max(mpf("1e-12"), 8 * curve.max_residual)
+        tol = max(mpf("1e-12"), 8 * curve.max_residual)
         zc = mpc(z)
-        residual = abs(abs(zc * mp.e ** (1 - zc)) - curve.level)
-        if residual <= tol and abs(zc) <= 1 + tol:
+        size = abs(_phi(zc))
+        if abs(size - curve.level) <= tol and abs(zc) <= 1 + tol:
             return RegionTag.ON_CURVE
-        if abs(zc) > 1 + tol:
-            return RegionTag.EXTERIOR
-        if winding_number(curve.points, zc) == 1:
+        if abs(zc) < 1 and size < curve.level:
             return RegionTag.INTERIOR
         return RegionTag.EXTERIOR

@@ -12,8 +12,6 @@ from szegolab.potential import (
     graded_mu_r,
     harmonic_moments,
     pullback_density,
-    refined_moment,
-    refined_potential,
     verify_balayage,
     weighted_energy,
     weighted_leja,
@@ -91,19 +89,6 @@ def test_lemma1_passes_near_the_corner():
     # the equal-weight rule missed the moment tolerance here (2.6e-9)
     checks = suite_lemma1(ap_real("0.01", PREC), 1024, PREC)
     assert all(c.passed for c in checks), [c.detail for c in checks]
-
-
-def test_refined_moments_resolve_the_corner():
-    for k in range(1, 5):
-        assert abs(refined_moment(mpf(0), k, PREC)) <= mpf("1e-30")
-    assert gap(refined_moment(mpf(0), 0, PREC), mpf(1), PREC) <= mpf("1e-30")
-
-
-def test_refined_potential_at_origin():
-    v = refined_potential(mpf(0), mpc(0), PREC)
-    assert gap(v, mpf(1), PREC) <= mpf("1e-30")
-    v = refined_potential(mpf(1), mpc(0), PREC)
-    assert gap(v, mpf(2), PREC) <= mpf("1e-30")
 
 
 def test_log_potential_exterior_value():

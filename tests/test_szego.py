@@ -1,4 +1,4 @@
-"""Level curves, crossings, winding, and region classification."""
+"""Level curves, crossings, and region classification."""
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -7,12 +7,12 @@ from szegolab.errors import InvalidParameter
 from szegolab.precision import ap_real, op_precision, workprec
 from szegolab.szego import (
     RegionTag,
+    curve_point,
     level_curve_at,
     locate,
     phi_map,
     real_crossings,
     trace_level_curve,
-    winding_number,
 )
 
 from conftest import gap
@@ -65,8 +65,9 @@ def test_real_crossings_below_working_precision():
 
 
 def test_real_crossings_rejects_negative():
-    with pytest.raises(InvalidParameter):
-        real_crossings(-1, PREC)
+    for r in (-1, mp.inf, mp.nan):
+        with pytest.raises(InvalidParameter):
+            real_crossings(r, PREC)
 
 
 @pytest.mark.parametrize("r_text", ["0", "0.05", "0.192", "1", "3"])
@@ -75,7 +76,6 @@ def test_trace_residuals_and_shape(r_text):
     M = 128
     curve = trace_level_curve(r, M, PREC)
     assert len(curve.samples) == M
-    assert curve.closed_flag
     assert curve.max_residual <= mpf("1e-12")
     with workprec(PREC + 16):
         # every node is on the level set and inside the unit disk
@@ -127,13 +127,6 @@ def test_deep_level_curve_is_tiny():
     assert max(abs(z) for z in curve.points) < mpf("0.01")
 
 
-def test_winding_number():
-    curve = trace_level_curve(1, 64, PREC)
-    assert winding_number(curve.points, mpc(0)) == 1
-    assert winding_number(curve.points, mpc(2)) == 0
-    assert winding_number(curve.points, mpc(0, "0.5")) == 0
-
-
 def test_locate_regions():
     r = mpf(1)
     curve = trace_level_curve(r, 64, PREC)
@@ -144,6 +137,23 @@ def test_locate_regions():
     assert locate(mpc(2), curve) is RegionTag.EXTERIOR
     assert locate(mpc(0, "1.5"), curve) is RegionTag.EXTERIOR
     assert locate(curve.points[5], curve) is RegionTag.ON_CURVE
+
+
+def test_locate_classifies_against_gamma_r_not_the_polyline():
+    # Midway between nodes the 16-gon's chords cut inside Gamma_1, so points
+    # 1e-3 inside the curve there lie outside the polyline.
+    curve = trace_level_curve(1, 16, PREC)
+    with workprec(PREC + 16):
+        for j in range(16):
+            z = curve_point(1, 2 * mp.pi * (j + mpf("0.5")) / 16, PREC)
+            assert locate(z * (1 - mpf("1e-3")), curve) is RegionTag.INTERIOR
+            assert locate(z * (1 + mpf("1e-3")), curve) is RegionTag.EXTERIOR
+        # At r = 0 the sublevel set |phi| < 1 has an unbounded component
+        # touching Gamma_0 at the corner z = 1; it is exterior.
+        corner = trace_level_curve(0, 16, PREC)
+        beyond = 1 + mpf("0.05") * mp.expjpi(mpf(1) / 8)
+        assert locate(beyond, corner) is RegionTag.EXTERIOR
+        assert locate(mpf("0.95"), corner) is RegionTag.INTERIOR
 
 
 def test_trace_validates_inputs():
