@@ -157,16 +157,22 @@ def supnorm_extremality(
 
     The nodes next to the positive crossing x0 (the first, second and last
     sample) are excluded: the underlying bound holds quasi-everywhere and
-    genuinely fails at x0.
+    genuinely fails at x0.  L_n^(alpha) has real coefficients, so the value
+    at conj z equals the value at z to the last bit; on a curve whose node
+    M - j is exactly the conjugate of node j (as trace_level_curve returns)
+    only nodes j <= M/2 are evaluated, with the same result.  Any other
+    curve is scanned in full.
     """
     if precision_bits is None:
         precision_bits = recommended_precision(n, alpha)
     spec = LaguerreSpec.contracted(n, alpha)
     prec = op_precision(precision_bits, spec.alpha)
+    points = curve.points
+    m = len(points)
+    scan = m // 2 + 1 if _conjugate_closed(points) else m
     with workprec(prec):
         best = mpf(0)
-        m = len(curve.samples)
-        for j, (_, z) in enumerate(curve.samples):
+        for j, z in enumerate(points[:scan]):
             if j in (0, 1, m - 1):
                 continue
             val = mp.e ** (-mp.re(z)) * abs(evaluate(spec, z, precision_bits)) ** (
@@ -174,6 +180,19 @@ def supnorm_extremality(
             )
             best = max(best, val)
         return best
+
+
+def _conjugate_closed(points) -> bool:
+    """Whether points[(M - j) % M] is exactly conj(points[j]) for every j.
+
+    Compared without rounding: conjugate() would round to the ambient
+    precision, and a sum of two floats is zero only if they cancel exactly.
+    """
+    m = len(points)
+    return m % 2 == 0 and all(
+        a.real == b.real and a.imag + b.imag == 0
+        for a, b in zip(points, points[:1] + points[:0:-1])
+    )
 
 
 def origin_extremality(n: int, alpha, precision_bits: int | None = None) -> mpf:

@@ -20,16 +20,31 @@ Starts form a restart ladder, tried in order until one converges:
   circle.
 * newton-polygon: annuli from the Newton polygon of the coefficients.
 
-With real coefficients, a root whose imaginary part is below its residual
-and that has no other root within twice that distance is returned as real
-(Im z = 0 exactly), so the order of real zeros does not hang on the sign
-of rounding noise.
+Conjugate pairs.  With real coefficients and a LaguerreSpec (no origin
+roots deflated), the number of real zeros is known before solving:
+R = R+ + R-, Szego's count of positive zeros plus the negative one (see
+_real_zero_counts).  When R <= 2, which covers the paper's regime and
+every schedule, the first rung -- limit-law, or geometric for the cluster
+-- runs on half the roots: R real seeds at the real crossings x0 / x_neg
+of Gamma_(r_eff) (or at +-|c_0|^(1/m)) and P = (m - R)/2 seeds in the
+upper half plane, at theta_k = pi (k + 1/2) / P on Gamma_(r_eff) (or on
+the upper half of the geometric circle).  Only those P + R roots are
+iterated, the real ones in real arithmetic; the lower half is their exact
+conjugate, so conjugate zeros agree to the last bit and real zeros have
+Im z = 0 exactly.  If that rung fails, the rest of the ladder runs
+unchanged.  For R > 2 the rung keeps its full seeds: naive real seeds stall
+when many zeros are real.
+
+On the full rungs, with real coefficients, a root whose imaginary part is
+below its residual and that has no other root within twice that distance
+is returned as real (Im z = 0 exactly), so the order of real zeros does not
+hang on the sign of rounding noise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
@@ -37,13 +52,14 @@ from .errors import DegenerateParameter, InvalidParameter, NonConvergence
 from .laguerre import (
     CoeffList,
     LaguerreSpec,
+    evaluate_at_zero,
     monic_rescaled,
     param_decomposition,
     recommended_precision,
 )
 from .measures import DiscreteMeasure
 from .precision import mantissa_bits, op_precision, workprec
-from .szego import curve_point
+from .szego import curve_point, real_crossings
 
 SWEEP_CAP = 200
 
@@ -67,7 +83,8 @@ class ZeroSet:
     start names the ladder rung whose Aberth run delivered the roots
     ("limit-law", "circle", "geometric", "newton-polygon"), or
     "closed-form" when at most two roots remained after deflation; sweeps
-    counts that run's Aberth sweeps (0 for closed forms).
+    counts that run's Aberth sweeps (0 for closed forms); precision_bits is
+    the working precision of the solve (None when not solved here).
     """
 
     zeros: tuple
@@ -76,15 +93,17 @@ class ZeroSet:
     spec: LaguerreSpec | None = None
     start: str = "closed-form"
     sweeps: int = 0
+    precision_bits: int | None = None
 
     def __len__(self) -> int:
         return len(self.zeros)
 
 
 def _horner_pair(coeffs, z):
-    """Evaluate p(z) and p'(z) together; coeffs ascending degree."""
-    p = mpc(coeffs[-1])
-    dp = mpc(0)
+    """Evaluate p(z) and p'(z) together; coeffs ascending degree.  Real
+    coefficients at a real z stay in real arithmetic."""
+    p = coeffs[-1]
+    dp = mpf(0)
     for c in reversed(coeffs[:-1]):
         dp = dp * z + p
         p = p * z + c
@@ -99,9 +118,52 @@ def _start_circle(m, radius, offset_turns):
     return pts
 
 
-def _limit_law_starts(spec, m):
-    """m seeds on Gamma_(r_eff) at theta_k = 2 pi (k + 1/2) / m, or None
-    when alpha is degenerate or outside the paper's regime (r_eff < 0)."""
+class _Half(NamedTuple):
+    """Starts of a conjugate-pair run: upper-half-plane points (their
+    conjugates are implied) and real points."""
+
+    upper: list
+    reals: list
+
+
+def _real_zero_counts(spec):
+    """(R+, R-): the numbers of positive and negative zeros of L_n^(alpha).
+
+    R+ is Szego's count (Orthogonal Polynomials, Thm 6.73): n for
+    alpha > -1, n + floor(alpha) + 1 for -n < alpha < -1 and 0 for
+    alpha < -n.  R- = 1 iff L_n^(alpha)(0) < 0: the zeros' product has the
+    sign of L_n^(alpha)(0), so that is the parity of the negative zeros,
+    and at most one is assumed.  A pair run started from a wrong count
+    cannot converge, and the ladder moves on.
+    """
+    n, alpha = spec.n, spec.alpha
+    if alpha > -1:
+        pos = n
+    elif alpha < -n:
+        pos = 0
+    else:
+        pos = n + int(mp.floor(alpha)) + 1
+    neg = 1 if evaluate_at_zero(spec, _SEED_BITS) < 0 else 0
+    return pos, neg
+
+
+def _angles(count, turns):
+    # theta_k = turns * pi * (k + 1/2) / count at the seed precision.
+    with workprec(_SEED_BITS):
+        return [turns * mp.pi * (k + mpf(1) / 2) / count for k in range(count)]
+
+
+def _limit_law_starts(spec, m, counts=None):
+    """Seeds on Gamma_(r_eff), or None when alpha is degenerate or outside
+    the paper's regime (r_eff < 0).
+
+    Without counts, m seeds at theta_k = 2 pi (k + 1/2) / m.  With
+    counts = (R+, R-), a _Half: R- seeds at x_neg, R+ at x0 and then at
+    x1 = -W_(-1)(-e^(-1-r_eff)), where the unbounded part of the level set
+    |phi| = e^(-r_eff) crosses the positive axis (R+ = 2 only for
+    -n + 1 < alpha < -n + 2, and that second zero lies beyond z = 1), and
+    P = (m - R)/2 upper seeds at theta_k = pi (k + 1/2) / P.
+    """
     try:
         r_eff = param_decomposition(spec.n, spec.alpha).r_eff
     except DegenerateParameter:
@@ -110,8 +172,27 @@ def _limit_law_starts(spec, m):
         return None
     with workprec(_SEED_BITS):
         r_eff = +r_eff
-        thetas = [2 * mp.pi * (k + mpf(1) / 2) / m for k in range(m)]
-    return [curve_point(r_eff, t, _SEED_BITS) for t in thetas]
+    if counts is None:
+        return [curve_point(r_eff, t, _SEED_BITS) for t in _angles(m, 2)]
+    pos, neg = counts
+    x0, x_neg = real_crossings(r_eff, _SEED_BITS)
+    positive = [x0]
+    if pos == 2:
+        with workprec(_SEED_BITS):
+            positive.append(-mp.lambertw(-mp.e ** (-1 - r_eff), -1))
+    upper = [curve_point(r_eff, t, _SEED_BITS) for t in _angles((m - pos - neg) // 2, 1)]
+    return _Half(upper, positive[:pos] + [x_neg] * neg)
+
+
+def _half_circle(m, radius, counts):
+    """_Half starts on the circle |z| = radius: R+ at radius, R- at
+    -radius, and P = (m - R)/2 at angles pi (k + 1/2) / P; None when
+    R+ = 2, which one circle cannot seed."""
+    pos, neg = counts
+    if pos > 1:
+        return None
+    thetas = _angles((m - pos - neg) // 2, 1)
+    return _Half([radius * mp.e ** (1j * t) for t in thetas], [radius] * pos + [-radius] * neg)
 
 
 def _newton_polygon_starts(coeffs, offset_turns):
@@ -141,6 +222,22 @@ def _newton_polygon_starts(coeffs, offset_turns):
     return starts
 
 
+def _newton(coeffs, z):
+    """The Newton correction p(z)/p'(z), or None where p(z) = 0."""
+    p, dp = _horner_pair(coeffs, z)
+    if p == 0:
+        return None
+    if dp == 0:
+        dp = mpf(2) ** (-mp.prec)
+    return p / dp
+
+
+def _aberth_step(newton, s):
+    # Aberth's correction from the Newton step and sum_j 1/(z - z_j).
+    denom = 1 - newton * s
+    return newton if denom == 0 else newton / denom
+
+
 def _aberth(coeffs, starts, tol):
     """Run Aberth-Ehrlich from the given starts.
 
@@ -151,20 +248,65 @@ def _aberth(coeffs, starts, tol):
     for sweep in range(1, SWEEP_CAP + 1):
         max_step = mpf(0)
         for i in range(m):
-            p, dp = _horner_pair(coeffs, z[i])
-            if p == 0:
+            newton = _newton(coeffs, z[i])
+            if newton is None:
                 continue
-            if dp == 0:
-                dp = mpf(2) ** (-mp.prec)
-            newton = p / dp
-            s = mp.fsum((1 / (z[i] - z[j]) for j in range(m) if j != i))
-            denom = 1 - newton * s
-            step = newton if denom == 0 else newton / denom
+            step = _aberth_step(
+                newton, mp.fsum((1 / (z[i] - z[j]) for j in range(m) if j != i))
+            )
             z[i] = z[i] - step
             max_step = max(max_step, abs(newton), abs(step))
         if max_step < tol:
             return z, True, sweep
     return z, False, SWEEP_CAP
+
+
+def _pair_terms(z, pairs, skip=None):
+    # 1/(z - w) + 1/(z - conj w) = 2 (z - a) / ((z - a)^2 + b^2) for each
+    # w = a + i b in pairs, given as (a, b^2), except pairs[skip].
+    out = []
+    for k, (a, b2) in enumerate(pairs):
+        if k != skip:
+            d = z - a
+            out.append(2 * d / (d * d + b2))
+    return out
+
+
+def _aberth_pairs(coeffs, upper, reals, tol):
+    """Aberth-Ehrlich for real coefficients on the roots upper, their
+    conjugates and reals, iterating only upper and reals (reals in real
+    arithmetic).
+
+    Returns (upper, reals, converged, sweeps).
+    """
+    w = [mpc(s) for s in upper]
+    x = [mpf(s) for s in reals]
+    pairs = [(v.real, v.imag**2) for v in w]
+    for sweep in range(1, SWEEP_CAP + 1):
+        max_step = mpf(0)
+        for i in range(len(w)):
+            z = w[i]
+            newton = _newton(coeffs, z)
+            if newton is None:
+                continue
+            terms = _pair_terms(z, pairs, i) + [1 / (z - t) for t in x]
+            terms.append(mpc(0, -1 / (2 * z.imag)))  # 1/(z - conj z)
+            step = _aberth_step(newton, mp.fsum(terms))
+            w[i] = z = z - step
+            pairs[i] = (z.real, z.imag**2)
+            max_step = max(max_step, abs(newton), abs(step))
+        for i in range(len(x)):
+            newton = _newton(coeffs, x[i])
+            if newton is None:
+                continue
+            terms = _pair_terms(x[i], pairs)
+            terms += [1 / (x[i] - t) for j, t in enumerate(x) if j != i]
+            step = _aberth_step(newton, mp.fsum(terms))
+            x[i] = x[i] - step
+            max_step = max(max_step, abs(newton), abs(step))
+        if max_step < tol:
+            return w, x, True, sweep
+    return w, x, False, SWEEP_CAP
 
 
 def _residual(coeffs, z):
@@ -185,6 +327,15 @@ def _polish_and_residuals(coeffs, roots):
         polished.append(z)
         residuals.append(_residual(coeffs, z))
     return polished, residuals
+
+
+def _mirror(coeffs, upper, reals):
+    """Polish and residuals on upper and reals; the lower half is the exact
+    conjugate of upper and shares its residuals."""
+    upper, res_upper = _polish_and_residuals(coeffs, upper)
+    reals, res_reals = _polish_and_residuals(coeffs, reals)
+    lower = [w.conjugate() for w in upper]  # exact at the roots' precision
+    return upper + lower + [mpc(x) for x in reals], res_upper * 2 + res_reals
 
 
 def _snap_real(coeffs, roots, residuals):
@@ -221,6 +372,7 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
 
     with workprec(prec + 16):
         c = list(coeffs.coeffs)
+        real = not any(isinstance(a, mpc) for a in c)
         mult = 0
         while mult < n and c[0] == 0:
             c.pop(0)
@@ -240,10 +392,12 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
             root_list, res_list = _polish_and_residuals(c, [q, c0 / q])
         elif m >= 3:
             spec = coeffs.spec if mult == 0 else None
-            root_list, res_list, start, sweeps = _iterate_with_restarts(c, m, tol, spec)
+            root_list, res_list, start, sweeps = _iterate_with_restarts(
+                c, m, tol, spec, real
+            )
         else:
             root_list, res_list = [], []
-        if not any(isinstance(a, mpc) for a in c):
+        if real:
             root_list, res_list = _snap_real(c, root_list, res_list)
 
         if res_list and max(res_list) > tol:
@@ -265,30 +419,44 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
         spec=coeffs.spec,
         start=start,
         sweeps=sweeps,
+        precision_bits=prec + 16,
     )
 
 
-def _iterate_with_restarts(c, m, tol, spec):
+def _iterate_with_restarts(c, m, tol, spec, real):
     """Aberth from each rung of the ladder in turn; returns (roots,
     residuals, rung name, sweeps) of the first to converge within tol,
-    else of the attempt with the smallest worst residual."""
+    else of the attempt with the smallest worst residual.  A rung whose
+    starts are a _Half runs on conjugate pairs."""
     offset = mpf(_GOLDEN)
     geo_radius = abs(c[0]) ** (mpf(1) / m)
+    counts = _real_zero_counts(spec) if spec is not None and real else None
+    if counts is not None and sum(counts) > 2:
+        counts = None  # naive real seeds stall when many zeros are real
     circle = ("circle", _start_circle(m, mpf(1) / 2, offset))
     geometric = ("geometric", _start_circle(m, geo_radius, offset))
     if geo_radius < _CLUSTER_SIGNAL:
+        half = None if counts is None else _half_circle(m, geo_radius, counts)
+        if half is not None:
+            geometric = ("geometric", half)
         attempts = [geometric, circle]
     else:
         attempts = [circle, geometric]
-        law = None if spec is None else _limit_law_starts(spec, m)
+        law = None if spec is None else _limit_law_starts(spec, m, counts)
         if law is not None:
             attempts.insert(0, ("limit-law", law))
     attempts.append(("newton-polygon", _newton_polygon_starts(c, offset)))
 
     best = None
     for name, starts in attempts:
-        roots, converged, sweeps = _aberth(c, starts, tol)
-        roots, res = _polish_and_residuals(c, roots)
+        if isinstance(starts, _Half):
+            upper, reals, converged, sweeps = _aberth_pairs(
+                c, starts.upper, starts.reals, tol
+            )
+            roots, res = _mirror(c, upper, reals)
+        else:
+            roots, converged, sweeps = _aberth(c, starts, tol)
+            roots, res = _polish_and_residuals(c, roots)
         worst = max(res)
         if best is None or worst < max(best[1]):
             best = (roots, res, name, sweeps)

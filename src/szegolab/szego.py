@@ -6,7 +6,10 @@ at image angle theta is z(theta) = -W_0(-e^(-1-r+i theta)).
 level_curve_at evaluates it at any increasing angles from theta = 0, and
 trace_level_curve at the equispaced theta_j = 2 pi j / M.  At r = 0 the
 curve has a corner at z = 1, the branch point of W_0; the theta = 0 node
-is therefore taken from real_crossings.
+is therefore taken from real_crossings.  Gamma_r is symmetric about the
+real axis, z(2 pi - theta) = conj z(theta), so trace_level_curve evaluates
+nodes 1 .. M/2 - 1, takes node M/2 from real_crossings, and mirrors the
+rest exactly.
 """
 
 from __future__ import annotations
@@ -127,31 +130,39 @@ def level_curve_at(
     with workprec(op_precision(precision_bits, r) + 16):
         if not all(a < b for a, b in zip(thetas, thetas[1:])) or thetas[-1] >= 2 * mp.pi:
             raise InvalidParameter("thetas must increase through [0, 2 pi)")
-    return _level_curve(r, thetas, precision_bits)
+        x0, _ = real_crossings(r, precision_bits)
+        points = [mpc(x0)] + [_curve_point(r, t) for t in thetas[1:]]
+        return _level_curve(r, thetas, points, points, precision_bits)
 
 
 def trace_level_curve(
     r, M: int, precision_bits: int = DEFAULT_TRACE_PRECISION
 ) -> LevelCurve:
-    """Gamma_r at M equispaced image angles theta_j = 2 pi j / M."""
+    """Gamma_r at M equispaced image angles theta_j = 2 pi j / M.
+
+    Nodes 0 and M/2 are the real crossings x0 and x_neg, nodes
+    1 .. M/2 - 1 come from the closed form, and node M - j is the exact
+    conjugate of node j; max_residual is taken over nodes 0 .. M/2.
+    """
     r = _check_r(r)
     check_node_count(M)
     with workprec(op_precision(precision_bits, r) + 16):
         thetas = (mpf(0),) + tuple(2 * mp.pi * j / M for j in range(1, M))
-    return _level_curve(r, thetas, precision_bits)
+        x0, x_neg = real_crossings(r, precision_bits)
+        half = [mpc(x0)] + [_curve_point(r, t) for t in thetas[1 : M // 2]]
+        half.append(mpc(x_neg))
+        # conjugate() rounds to the ambient precision, the nodes' own here.
+        points = half + [z.conjugate() for z in reversed(half[1:-1])]
+        return _level_curve(r, thetas, points, half, precision_bits)
 
 
-def _level_curve(r, thetas, precision_bits) -> LevelCurve:
-    # r and thetas are validated by the callers.
-    with workprec(op_precision(precision_bits, r) + 16):
-        level = mp.e ** (-r)
-        x0, _ = real_crossings(r, precision_bits)
-        samples = [(thetas[0], mpc(x0))]
-        samples += [(t, _curve_point(r, t)) for t in thetas[1:]]
-        residual = max(abs(abs(_phi(z)) - level) for _, z in samples)
+def _level_curve(r, thetas, points, computed, precision_bits) -> LevelCurve:
+    # max_residual over the computed nodes, at the caller's working precision.
+    level = mp.e ** (-r)
+    residual = max(abs(abs(_phi(z)) - level) for z in computed)
     return LevelCurve(
         r=r,
-        samples=tuple(samples),
+        samples=tuple(zip(thetas, points)),
         level=level,
         max_residual=residual,
         precision_bits=precision_bits,

@@ -3,6 +3,7 @@
 import pytest
 from mpmath import mp, mpf
 
+from szegolab import asymptotics
 from szegolab.asymptotics import (
     ks_uniform_theta,
     level_median,
@@ -16,7 +17,7 @@ from szegolab.errors import InvalidSchedule
 from szegolab.laguerre import param_decomposition
 from szegolab.precision import ap_real, default_precision, op_precision, workprec
 from szegolab.rootfinding import ZeroSet, contracted_zeros
-from szegolab.szego import trace_level_curve
+from szegolab.szego import level_curve_at, trace_level_curve
 
 from conftest import gap
 
@@ -121,6 +122,43 @@ def test_supnorm_extremality_below_level():
     with workprec(256):
         assert val < mp.e ** (-pd.r_eff)
         assert val > mpf("0.5") * mp.e ** (-pd.r_eff)
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    real = asymptotics.evaluate
+
+    def evaluate(spec, z, precision_bits=None):
+        calls.append(z)
+        return real(spec, z, precision_bits)
+
+    monkeypatch.setattr(asymptotics, "evaluate", evaluate)
+    return calls
+
+
+def test_supnorm_extremality_scans_half_a_mirrored_curve(monkeypatch):
+    n, M = 20, 128
+    alpha = ap_real("-20.25", 256)
+    pd = param_decomposition(n, alpha, 256)
+    curve = trace_level_curve(pd.r_eff, M, 256)
+    calls = _count_evaluations(monkeypatch)
+    half = supnorm_extremality(n, alpha, curve, 256)
+    assert len(calls) == M // 2 - 1  # nodes 2 .. M/2
+    monkeypatch.setattr(asymptotics, "_conjugate_closed", lambda points: False)
+    full = supnorm_extremality(n, alpha, curve, 256)
+    assert len(calls) == (M // 2 - 1) + (M - 3)
+    assert half == full
+
+
+def test_supnorm_extremality_scans_an_asymmetric_curve_in_full(monkeypatch):
+    n = 20
+    alpha = ap_real("-20.25", 256)
+    pd = param_decomposition(n, alpha, 256)
+    thetas = (0, mpf("0.3"), 1, 2, mpf("2.5"), 4, 5, 6)
+    curve = level_curve_at(pd.r_eff, thetas, 256)
+    calls = _count_evaluations(monkeypatch)
+    supnorm_extremality(n, alpha, curve, 256)
+    assert len(calls) == len(thetas) - 3
 
 
 def test_zero_distribution_report_fields():

@@ -7,7 +7,7 @@ from mpmath import mp, mpc, mpf
 
 from szegolab import rootfinding
 from szegolab.errors import InvalidParameter, NonConvergence
-from szegolab.laguerre import LaguerreSpec, monic_rescaled
+from szegolab.laguerre import LaguerreSpec, monic_rescaled, recommended_precision
 from szegolab.precision import ap_real, op_precision, workprec
 from szegolab.rootfinding import (
     ZeroSet,
@@ -71,6 +71,7 @@ def test_contracted_zeros_count_and_residuals():
     assert zs.origin_multiplicity == 0
     tol = mpf(2) ** -(prec // 2)
     assert max(zs.residuals) <= tol
+    assert zs.precision_bits == prec + 16  # the solve's 16 guard bits
 
 
 def test_vieta_sum_and_product():
@@ -96,13 +97,12 @@ def test_vieta_sum_and_product():
 
 
 def test_zeros_closed_under_conjugation():
-    prec = 192
-    zs = contracted_zeros(12, mpf("-12.25"), prec)
-    tol = mpf(2) ** -(prec // 4)
-    with workprec(prec + 16):
-        for z in zs.zeros:
-            best = min(gap(z.conjugate(), w, prec) for w in zs.zeros)
-            assert best <= tol
+    # The pair rung returns the lower half as exact conjugates; compared
+    # without rounding (conjugate() would round to the ambient precision).
+    zs = contracted_zeros(12, mpf("-12.25"), 192)
+    assert zs.start == "limit-law"
+    for z in zs.zeros:
+        assert any(w.real == z.real and w.imag + z.imag == 0 for w in zs.zeros)
 
 
 def test_origin_multiplicity_for_integer_alpha_in_degenerate_set():
@@ -151,40 +151,26 @@ LADDER = ("limit-law", "circle", "geometric", "newton-polygon")
 
 
 def _fail_first(monkeypatch, k):
-    """Make the first k Aberth runs report non-convergence; returns the
-    list of attempts made."""
-    real = rootfinding._aberth
+    """Make the first k Aberth runs, full or conjugate-pair, report
+    non-convergence; returns the list of runs made ("full" or "pairs")."""
+    full, pairs = rootfinding._aberth, rootfinding._aberth_pairs
     calls = []
 
     def aberth(coeffs, starts, tol):
-        calls.append(len(starts))
+        calls.append("full")
         if len(calls) <= k:
             return list(starts), False, 0
-        return real(coeffs, starts, tol)
+        return full(coeffs, starts, tol)
+
+    def aberth_pairs(coeffs, upper, reals, tol):
+        calls.append("pairs")
+        if len(calls) <= k:
+            return list(upper), list(reals), False, 0
+        return pairs(coeffs, upper, reals, tol)
 
     monkeypatch.setattr(rootfinding, "_aberth", aberth)
+    monkeypatch.setattr(rootfinding, "_aberth_pairs", aberth_pairs)
     return calls
-
-
-@pytest.mark.parametrize("k", range(len(LADDER)), ids=LADDER)
-def test_every_rung_delivers_the_same_rows(k, monkeypatch):
-    # n = 9 has one real zero; without Im = 0 snapping, the law and circle
-    # starts leave rounding noise of opposite signs on it, which sorts it
-    # into the first row from one start and the last row from the other.
-    prec = 192
-    tol = mpf(2) ** -(prec // 2)
-    reference = contracted_zeros(9, mpf("-9.5"), prec)
-    calls = _fail_first(monkeypatch, k)
-    zs = contracted_zeros(9, mpf("-9.5"), prec)
-    assert len(calls) == k + 1
-    assert zs.start == LADDER[k]
-    assert 0 < zs.sweeps <= rootfinding.SWEEP_CAP
-    assert max(zs.residuals) <= tol
-    bound = 2 * max(max(zs.residuals), max(reference.residuals))
-    with workprec(prec + 16):
-        assert all(abs(a - b) <= bound for a, b in zip(zs.zeros, reference.zeros))
-    assert [z.imag == 0 for z in zs.zeros] == [z.imag == 0 for z in reference.zeros]
-    assert zs.zeros[-1].imag == 0 and zs.zeros[-1].real < 0
 
 
 def _superexponential_alpha(n):
@@ -192,24 +178,100 @@ def _superexponential_alpha(n):
         return -n + mp.e ** (-(mpf(n) ** 2))
 
 
+def _above(k, digits):
+    with workprec(256):
+        return mpf(k) + mpf(10) ** -digits
+
+
 @pytest.mark.parametrize(
-    "n, alpha, start",
+    "n, alpha, k, runs",
     [
-        (4, mpf("0.5"), "circle"),  # dist(alpha, S_n) = 1.5 > 1
-        (12, None, "geometric"),  # superexponential: cluster signal on
-        (6, -4, "closed-form"),  # 4 origin roots deflated, 2 left
-        (9, -4, "circle"),  # 4 origin roots deflated, 5 left
+        (9, "-9.5", 0, ["pairs"]),  # R = 1: the law rung runs on pairs
+        (9, "-9.5", 1, ["pairs", "full"]),  # a failed pair run hands over
+        (9, "-9.5", 2, ["pairs", "full", "full"]),
+        (9, "-9.5", 3, ["pairs", "full", "full", "full"]),
+        (12, "-7.5", 1, ["full", "full"]),  # R = 6 > 2: no pair run
+        (12, None, 0, ["pairs"]),  # superexponential: paired geometric
+        (12, None, 1, ["pairs", "full"]),
     ],
-    ids=["dist-above-one", "cluster", "deflated-quadratic", "deflated"],
+    ids=list(LADDER) + ["above-two-real", "cluster", "cluster-circle"],
 )
-def test_limit_law_rung_skipped(n, alpha, start, monkeypatch):
+def test_every_rung_delivers_the_same_rows(n, alpha, k, runs, monkeypatch):
+    # n = 9 has one real zero; without Im = 0 snapping, the law and circle
+    # starts leave rounding noise of opposite signs on it, which sorts it
+    # into the first row from one start and the last row from the other.
+    if alpha is None:
+        alpha = _superexponential_alpha(n)
+        prec = recommended_precision(n, alpha)
+        ladder = ("geometric", "circle")
+    else:
+        alpha, prec, ladder = mpf(alpha), 192, LADDER
+    tol = mpf(2) ** -(prec // 2)
+    reference = contracted_zeros(n, alpha, prec)
+    calls = _fail_first(monkeypatch, k)
+    zs = contracted_zeros(n, alpha, prec)
+    assert calls == runs
+    assert zs.start == ladder[k]
+    assert 0 < zs.sweeps <= rootfinding.SWEEP_CAP
+    assert max(zs.residuals) <= tol
+    bound = 2 * max(max(zs.residuals), max(reference.residuals))
+    with workprec(prec + 16):
+        assert all(abs(a - b) <= bound for a, b in zip(zs.zeros, reference.zeros))
+    assert [z.imag == 0 for z in zs.zeros] == [z.imag == 0 for z in reference.zeros]
+    assert zs.zeros[-1].imag == 0 and zs.zeros[-1].real < 0  # R- = 1 in each case
+
+
+@pytest.mark.parametrize(
+    "n, alpha, start, runs",
+    [
+        (4, mpf("0.5"), "circle", ["full"]),  # dist(alpha, S_n) = 1.5 > 1
+        (12, None, "geometric", ["pairs"]),  # superexponential: cluster signal on
+        (6, -4, "closed-form", []),  # 4 origin roots deflated, 2 left
+        (9, -4, "circle", ["full"]),  # 4 origin roots deflated, 5 left
+        (12, mpf("-7.5"), "limit-law", ["full"]),  # R+ = 5: pair rung skipped
+        # R+ = 2 in a cluster: one circle has no second positive seed
+        (6, _above(-5, 40), "geometric", ["full"]),
+    ],
+    ids=[
+        "dist-above-one",
+        "cluster",
+        "deflated-quadratic",
+        "deflated",
+        "above-two-real",
+        "cluster-two-positive",
+    ],
+)
+def test_limit_law_rung_skipped(n, alpha, start, runs, monkeypatch):
     if alpha is None:
         alpha = _superexponential_alpha(n)
     calls = _fail_first(monkeypatch, 0)
     zs = contracted_zeros(n, alpha)
     assert zs.start == start
-    assert len(calls) == (0 if start == "closed-form" else 1)
+    assert calls == runs
     assert max(zs.residuals) <= mpf(2) ** -64
+
+
+@pytest.mark.parametrize(
+    "n, alpha",
+    [
+        (7, "0.5"),  # alpha > -1: every zero positive
+        (8, "-0.5"),
+        (10, "-3.5"),  # -n < alpha < -1: R+ = 7, R- = 1
+        (11, "-9.5"),  # R+ = 2, R- = 1
+        (10, "-8.5"),  # R+ = 2, R- = 0: second seed at the outer crossing
+        (13, "-12.5"),  # R+ = 1, R- = 0
+        (10, "-9.5"),  # R+ = 1, R- = 1
+        (9, "-9.5"),  # alpha < -n: R+ = 0, R- = 1
+        (12, "-12.25"),  # R+ = 0, R- = 0
+        (12, None),  # superexponential: R+ = 1, R- = 1
+    ],
+)
+def test_szego_real_zero_count(n, alpha):
+    alpha = _superexponential_alpha(n) if alpha is None else mpf(alpha)
+    pos, neg = rootfinding._real_zero_counts(LaguerreSpec.contracted(n, alpha))
+    zs = contracted_zeros(n, alpha)
+    real = [z.real for z in zs.zeros if z.imag == 0]
+    assert (sum(x > 0 for x in real), sum(x < 0 for x in real)) == (pos, neg)
 
 
 def test_limit_law_seeds_figure_two():

@@ -99,6 +99,21 @@ def test_trace_theta_grid_and_conjugate_symmetry():
             assert gap(pts[M - j], pts[j].conjugate(), PREC) <= mpf("1e-30")
 
 
+@pytest.mark.parametrize("r_text", ["0", "0.192", "1", "200"])
+def test_trace_mirrors_exactly(r_text):
+    # Node M - j is the exact conjugate of node j, compared without
+    # rounding; nodes 0 and M/2 are the real crossings themselves.
+    r = ap_real(r_text, PREC)
+    M = 64
+    pts = trace_level_curve(r, M, PREC).points
+    x0, x_neg = real_crossings(r, PREC)
+    assert pts[0] == x0 and pts[0].imag == 0
+    assert pts[M // 2] == x_neg and pts[M // 2].imag == 0
+    for j in range(1, M):
+        assert pts[M - j].real == pts[j].real
+        assert pts[M - j].imag + pts[j].imag == 0
+
+
 def test_trace_argument_roundtrip():
     r = ap_real("0.5", PREC)
     M = 64
