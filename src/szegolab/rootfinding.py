@@ -23,17 +23,18 @@ Starts form a restart ladder, tried in order until one converges:
 Conjugate pairs.  With real coefficients and a LaguerreSpec (no origin
 roots deflated), the number of real zeros is known before solving:
 R = R+ + R-, Szego's count of positive zeros plus the negative one (see
-_real_zero_counts).  When R <= 2, which covers the paper's regime and
-every schedule, the first rung -- limit-law, or geometric for the cluster
--- runs on half the roots: R real seeds at the real crossings x0 / x_neg
-of Gamma_(r_eff) (or at +-|c_0|^(1/m)) and P = (m - R)/2 seeds in the
-upper half plane, at theta_k = pi (k + 1/2) / P on Gamma_(r_eff) (or on
-the upper half of the geometric circle).  Only those P + R roots are
-iterated, the real ones in real arithmetic; the lower half is their exact
-conjugate, so conjugate zeros agree to the last bit and real zeros have
-Im z = 0 exactly.  If that rung fails, the rest of the ladder runs
-unchanged.  For R > 2 the rung keeps its full seeds: naive real seeds stall
-when many zeros are real.
+_real_zero_counts).  When R+ <= 1 and R <= 2, which covers the paper's
+regime and every schedule, the first rung -- limit-law, or geometric for
+the cluster -- runs on half the roots: R real seeds at the real crossings
+x0 / x_neg of Gamma_(r_eff) (or at +-|c_0|^(1/m)) and P = (m - R)/2 seeds
+in the upper half plane, at theta_k = pi (k + 1/2) / P on Gamma_(r_eff)
+(or on the upper half of the geometric circle).  Only those P + R roots
+are iterated, the real ones in real arithmetic; the lower half is their
+exact conjugate, so conjugate zeros agree to the last bit and real zeros
+have Im z = 0 exactly.  If that rung fails, the rest of the ladder runs
+unchanged.  Otherwise the rung keeps its full seeds: Gamma_(r_eff) crosses
+the real axis once on each side, so it has no seed for a second positive
+zero, and naive real seeds stall when many zeros are real.
 
 On the full rungs, with real coefficients, a root whose imaginary part is
 below its residual and that has no other root within twice that distance
@@ -83,8 +84,7 @@ class ZeroSet:
     start names the ladder rung whose Aberth run delivered the roots
     ("limit-law", "circle", "geometric", "newton-polygon"), or
     "closed-form" when at most two roots remained after deflation; sweeps
-    counts that run's Aberth sweeps (0 for closed forms); precision_bits is
-    the working precision of the solve (None when not solved here).
+    counts that run's Aberth sweeps (0 for closed forms).
     """
 
     zeros: tuple
@@ -93,7 +93,6 @@ class ZeroSet:
     spec: LaguerreSpec | None = None
     start: str = "closed-form"
     sweeps: int = 0
-    precision_bits: int | None = None
 
     def __len__(self) -> int:
         return len(self.zeros)
@@ -158,11 +157,8 @@ def _limit_law_starts(spec, m, counts=None):
     the paper's regime (r_eff < 0).
 
     Without counts, m seeds at theta_k = 2 pi (k + 1/2) / m.  With
-    counts = (R+, R-), a _Half: R- seeds at x_neg, R+ at x0 and then at
-    x1 = -W_(-1)(-e^(-1-r_eff)), where the unbounded part of the level set
-    |phi| = e^(-r_eff) crosses the positive axis (R+ = 2 only for
-    -n + 1 < alpha < -n + 2, and that second zero lies beyond z = 1), and
-    P = (m - R)/2 upper seeds at theta_k = pi (k + 1/2) / P.
+    counts = (R+, R-), both at most 1, a _Half: R+ seeds at x0, R- at
+    x_neg and P = (m - R)/2 upper seeds at theta_k = pi (k + 1/2) / P.
     """
     try:
         r_eff = param_decomposition(spec.n, spec.alpha).r_eff
@@ -176,21 +172,14 @@ def _limit_law_starts(spec, m, counts=None):
         return [curve_point(r_eff, t, _SEED_BITS) for t in _angles(m, 2)]
     pos, neg = counts
     x0, x_neg = real_crossings(r_eff, _SEED_BITS)
-    positive = [x0]
-    if pos == 2:
-        with workprec(_SEED_BITS):
-            positive.append(-mp.lambertw(-mp.e ** (-1 - r_eff), -1))
     upper = [curve_point(r_eff, t, _SEED_BITS) for t in _angles((m - pos - neg) // 2, 1)]
-    return _Half(upper, positive[:pos] + [x_neg] * neg)
+    return _Half(upper, [x0] * pos + [x_neg] * neg)
 
 
 def _half_circle(m, radius, counts):
     """_Half starts on the circle |z| = radius: R+ at radius, R- at
-    -radius, and P = (m - R)/2 at angles pi (k + 1/2) / P; None when
-    R+ = 2, which one circle cannot seed."""
+    -radius, and P = (m - R)/2 at angles pi (k + 1/2) / P."""
     pos, neg = counts
-    if pos > 1:
-        return None
     thetas = _angles((m - pos - neg) // 2, 1)
     return _Half([radius * mp.e ** (1j * t) for t in thetas], [radius] * pos + [-radius] * neg)
 
@@ -419,7 +408,6 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
         spec=coeffs.spec,
         start=start,
         sweeps=sweeps,
-        precision_bits=prec + 16,
     )
 
 
@@ -431,14 +419,13 @@ def _iterate_with_restarts(c, m, tol, spec, real):
     offset = mpf(_GOLDEN)
     geo_radius = abs(c[0]) ** (mpf(1) / m)
     counts = _real_zero_counts(spec) if spec is not None and real else None
-    if counts is not None and sum(counts) > 2:
-        counts = None  # naive real seeds stall when many zeros are real
+    if counts is not None and (counts[0] > 1 or sum(counts) > 2):
+        counts = None  # one seed per side; naive real seeds stall
     circle = ("circle", _start_circle(m, mpf(1) / 2, offset))
     geometric = ("geometric", _start_circle(m, geo_radius, offset))
     if geo_radius < _CLUSTER_SIGNAL:
-        half = None if counts is None else _half_circle(m, geo_radius, counts)
-        if half is not None:
-            geometric = ("geometric", half)
+        if counts is not None:
+            geometric = ("geometric", _half_circle(m, geo_radius, counts))
         attempts = [geometric, circle]
     else:
         attempts = [circle, geometric]
