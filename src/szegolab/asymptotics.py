@@ -5,7 +5,10 @@ degenerate set S_n; the induced level is r_eff = -log(dist)/n.  Reports
 quantify how closely the computed zero counting measure follows mu_(r_eff):
 level deviation, angular Kolmogorov-Smirnov distance against the uniform
 law, harmonic moment gaps, and the two extremality gaps used as
-convergence proxies.
+convergence proxies.  Every LevelCurve is mirrored about the real axis,
+so the sup-norm gap is a maximum over nodes j <= M/2 of Gamma_(r_eff)
+only.  Working precision comes from precision.schedule_precision,
+re-exported here.
 """
 
 from __future__ import annotations
@@ -22,22 +25,11 @@ from .laguerre import (
     param_decomposition,
     recommended_precision,
 )
-from .precision import default_precision, op_precision, workprec
+from .precision import op_precision, schedule_precision, workprec
 from .rootfinding import ZeroSet, contracted_zeros
 from .szego import LevelCurve, phi_map, trace_level_curve
 
 _SCHEDULE_KINDS = ("generic", "exponential", "superexponential")
-
-
-def schedule_precision(n: int, dist_log2: float) -> int:
-    """Working precision for degree n with dist(alpha, S_n) ~ 2^dist_log2.
-
-    Vieta sums of the contracted zeros cancel down to the scale of dist, so
-    resolving them needs the degree-driven budget plus ~1.5 bits per bit of
-    smallness in dist.
-    """
-    extra = int(mp.ceil(mpf(3) / 2 * max(0.0, -dist_log2)))
-    return default_precision(n) + 64 + extra
 
 
 @dataclass(frozen=True)
@@ -158,41 +150,22 @@ def supnorm_extremality(
     The nodes next to the positive crossing x0 (the first, second and last
     sample) are excluded: the underlying bound holds quasi-everywhere and
     genuinely fails at x0.  L_n^(alpha) has real coefficients, so the value
-    at conj z equals the value at z to the last bit; on a curve whose node
-    M - j is exactly the conjugate of node j (as trace_level_curve returns)
-    only nodes j <= M/2 are evaluated, with the same result.  Any other
-    curve is scanned in full.
+    at conj z equals the value at z to the last bit; node M - j of every
+    LevelCurve is exactly the conjugate of node j, so only nodes
+    2 .. M/2 are evaluated.
     """
     if precision_bits is None:
         precision_bits = recommended_precision(n, alpha)
     spec = LaguerreSpec.contracted(n, alpha)
     prec = op_precision(precision_bits, spec.alpha)
-    points = curve.points
-    m = len(points)
-    scan = m // 2 + 1 if _conjugate_closed(points) else m
     with workprec(prec):
         best = mpf(0)
-        for j, z in enumerate(points[:scan]):
-            if j in (0, 1, m - 1):
-                continue
+        for z in curve.points[2 : len(curve) // 2 + 1]:
             val = mp.e ** (-mp.re(z)) * abs(evaluate(spec, z, precision_bits)) ** (
                 mpf(1) / n
             )
             best = max(best, val)
         return best
-
-
-def _conjugate_closed(points) -> bool:
-    """Whether points[(M - j) % M] is exactly conj(points[j]) for every j.
-
-    Compared without rounding: conjugate() would round to the ambient
-    precision, and a sum of two floats is zero only if they cancel exactly.
-    """
-    m = len(points)
-    return m % 2 == 0 and all(
-        a.real == b.real and a.imag + b.imag == 0
-        for a, b in zip(points, points[:1] + points[:0:-1])
-    )
 
 
 def origin_extremality(n: int, alpha, precision_bits: int | None = None) -> mpf:

@@ -484,7 +484,7 @@ def cmd_verify(ns, conf) -> int:
     default_prec = 256 if suite == "laguerre-identities" else 192
     precision = _resolve_precision(ns, conf, default=default_prec)
     count = _as_int("count", _resolve(ns, conf, "count", 128))
-    grid = _as_int("grid", _resolve(ns, conf, "grid")) or 16 * count
+    grid = _as_int("grid", _resolve(ns, conf, "grid", 16 * count))
     nodes = _resolve_nodes(ns, conf)
     r = _as_mpf("r", _resolve(ns, conf, "r", "1"), precision)
     checks = run_suite(suite, r, nodes, precision, count, grid)
@@ -501,7 +501,7 @@ def cmd_leja(ns, conf) -> int:
         raise ConfigurationError("leja requires --r")
     precision = _resolve_precision(ns, conf, default=128)
     count = _as_int("count", _resolve(ns, conf, "count", 128))
-    grid = _as_int("grid", _resolve(ns, conf, "grid")) or 16 * count
+    grid = _as_int("grid", _resolve(ns, conf, "grid", 16 * count))
     r = _as_mpf("r", r_text, precision)
     result = weighted_leja(r, count, grid, precision)
     with workprec(op_precision(precision, result.robin_estimate, r)):

@@ -21,6 +21,7 @@ from .precision import (
     default_precision,
     mantissa_bits,
     op_precision,
+    schedule_precision,
     workprec,
 )
 
@@ -257,19 +258,15 @@ def param_decomposition(
 def recommended_precision(n: int, alpha) -> int:
     """Degree- and distance-aware default precision for L_n^(alpha)(n z) work.
 
-    Near-degenerate parameters make the Vieta sums of the contracted zeros
-    cancel down to the scale of dist(alpha, S_n), so ~1.5 bits per bit of
-    smallness in dist are added on top of the degree-driven budget.
+    schedule_precision at dist(alpha, S_n), and never below the bits alpha
+    itself carries plus 64.
     """
     a = _as_scalar(alpha, "alpha")
-    bits = default_precision(n) + 64
     try:
-        pd = param_decomposition(n, a, default_precision(n))
-        if pd.dist < 1:
-            bits += int(mp.ceil(mpf(3) / 2 * (-mp.log(pd.dist, 2))))
+        dist_log2 = mp.log(param_decomposition(n, a, default_precision(n)).dist, 2)
     except DegenerateParameter:
-        pass  # exact degenerate alpha: handled exactly by root deflation
-    return max(bits, mantissa_bits(a) + 64)
+        dist_log2 = 0  # exact degenerate alpha: handled exactly by root deflation
+    return max(schedule_precision(n, dist_log2), mantissa_bits(a) + 64)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ inverse of phi on Gamma_r.  Two discretizations are built here:
 * graded_mu_r: the corner-graded rule theta = s - sin s on a uniform
   s-grid, with weights (1 - cos s_j)/M.  Its error decays like M^(-9/2)
   at r = 0 and spectrally for r > 0; the lemma-1 and balayage checks use
-  it, so their r = 0 identities hold to about 1e-16 at M = 4096.
+  it, so their r = 0 identities hold to about 1e-16 at M = 4096.  The grid
+  is symmetric, theta_(M-j) = 2 pi - theta_j, so its curve is built
+  mirrored like the traced one.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .szego import (
     DEFAULT_TRACE_PRECISION,
     LevelCurve,
     RegionTag,
+    _mirrored_curve,
     check_node_count,
-    level_curve_at,
     locate,
     trace_level_curve,
 )
@@ -117,16 +119,17 @@ def graded_mu_r(
     flattens the Holder-1/2 corner of Gamma_0 at z = 1: the node sum then
     errs like M^(-9/2) at r = 0 instead of M^(-3/2), and stays spectral for
     r > 0 (Kress, Numer. Math. 58, 1990; Sidi, ISNM 112, 1993).  The node at
-    theta = 0 has weight 0.  The curve is a LevelCurve, so locate and
-    pullback_density apply to it.
+    theta = 0 has weight 0.  The curve is a mirrored LevelCurve, so locate
+    and pullback_density apply to it; only nodes 1 .. M/2 - 1 are
+    evaluated by Lambert W.
     """
     r = mpf(r) if not isinstance(r, mpf) else r
     check_node_count(M)
     with workprec(op_precision(precision_bits, r) + 16):
         grid = [2 * mp.pi * j / M for j in range(M)]
-        thetas = [s - mp.sin(s) for s in grid]
+        thetas = tuple(s - mp.sin(s) for s in grid)
         weights = tuple((1 - mp.cos(s)) / M for s in grid)
-    curve = level_curve_at(r, thetas, precision_bits)
+    curve = _mirrored_curve(r, thetas, precision_bits)
     mu = DiscreteMeasure(
         points=curve.points,
         weights=weights,

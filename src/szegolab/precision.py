@@ -97,6 +97,17 @@ def default_precision(n: int) -> int:
     return max(128, math.ceil(3.5 * n))
 
 
+def schedule_precision(n: int, dist_log2) -> int:
+    """Working precision for degree n with dist(alpha, S_n) ~ 2^dist_log2.
+
+    Vieta sums of the contracted zeros cancel down to the scale of dist, so
+    resolving them needs the degree-driven budget plus ~1.5 bits per bit of
+    smallness in dist.
+    """
+    extra = int(mp.ceil(mpf(3) / 2 * max(0.0, -dist_log2)))
+    return default_precision(n) + 64 + extra
+
+
 def decimal_digits(precision_bits: int) -> int:
     """Decimal digits that reproduce precision_bits of mantissa."""
     return math.ceil(precision_bits * _DIGITS_PER_BIT) + 2

@@ -2,14 +2,14 @@
 
 Gamma_r = {z : |z e^(1-z)| = e^(-r), |z| <= 1} is given in closed form:
 phi(z) = w inverts on the bounded component as z = -W_0(-w/e), so the node
-at image angle theta is z(theta) = -W_0(-e^(-1-r+i theta)).
-level_curve_at evaluates it at any increasing angles from theta = 0, and
-trace_level_curve at the equispaced theta_j = 2 pi j / M.  At r = 0 the
-curve has a corner at z = 1, the branch point of W_0; the theta = 0 node
-is therefore taken from real_crossings.  Gamma_r is symmetric about the
-real axis, z(2 pi - theta) = conj z(theta), so trace_level_curve evaluates
-nodes 1 .. M/2 - 1, takes node M/2 from real_crossings, and mirrors the
-rest exactly.
+at image angle theta is z(theta) = -W_0(-e^(-1-r+i theta)).  Gamma_r is
+symmetric about the real axis, z(2 pi - theta) = conj z(theta), and every
+LevelCurve is built mirrored by one builder: nodes 1 .. M/2 - 1 come from
+the closed form, nodes 0 and M/2 from real_crossings, and node M - j is
+the exact conjugate of node j.  At r = 0 the curve has a corner at z = 1,
+the branch point of W_0; node 0 from real_crossings is exactly 1 there.
+LevelCurve rejects nodes that are not mirrored, so callers may scan half
+of any curve.  trace_level_curve samples the equispaced theta_j = 2 pi j / M.
 """
 
 from __future__ import annotations
@@ -33,13 +33,29 @@ class RegionTag(enum.Enum):
 
 @dataclass(frozen=True)
 class LevelCurve:
-    """Traced samples (theta_j, z_j) of Gamma_r, ordered by theta."""
+    """Traced samples (theta_j, z_j) of Gamma_r, ordered by theta.
+
+    The M nodes are mirrored: M is even and node M - j is exactly
+    conj(node j), so nodes 0 and M/2 are real.  Compared without rounding:
+    conjugate() would round to the ambient precision, and a sum of two
+    floats is zero only if they cancel exactly.
+    """
 
     r: mpf
     samples: tuple
     level: mpf
     max_residual: mpf
     precision_bits: int
+
+    def __post_init__(self):
+        pts = self.points
+        if len(pts) % 2 or any(
+            pts[j].real != pts[-j].real or pts[j].imag + pts[-j].imag != 0
+            for j in range(len(pts) // 2 + 1)
+        ):
+            raise InvalidParameter(
+                "LevelCurve nodes must be mirrored: node M - j = conj(node j)"
+            )
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -114,59 +130,39 @@ def curve_point(r, theta, precision_bits: int = DEFAULT_TRACE_PRECISION) -> mpc:
         return _curve_point(r, theta)
 
 
-def level_curve_at(
-    r, thetas, precision_bits: int = DEFAULT_TRACE_PRECISION
-) -> LevelCurve:
-    """Gamma_r at the given image angles, each node from curve_point.
-
-    thetas must increase through [0, 2 pi) from thetas[0] = 0.  That first
-    node is x0 from real_crossings, so at r = 0 it is the corner z = 1
-    exactly rather than lambertw's value at its branch point.
-    """
-    r = _check_r(r)
-    thetas = tuple(thetas)
-    if not thetas or thetas[0] != 0:
-        raise InvalidParameter("thetas must start at theta = 0")
-    with workprec(op_precision(precision_bits, r) + 16):
-        if not all(a < b for a, b in zip(thetas, thetas[1:])) or thetas[-1] >= 2 * mp.pi:
-            raise InvalidParameter("thetas must increase through [0, 2 pi)")
-        x0, _ = real_crossings(r, precision_bits)
-        points = [mpc(x0)] + [_curve_point(r, t) for t in thetas[1:]]
-        return _level_curve(r, thetas, points, points, precision_bits)
-
-
 def trace_level_curve(
     r, M: int, precision_bits: int = DEFAULT_TRACE_PRECISION
 ) -> LevelCurve:
-    """Gamma_r at M equispaced image angles theta_j = 2 pi j / M.
+    """Gamma_r at M equispaced image angles theta_j = 2 pi j / M."""
+    check_node_count(M)
+    with workprec(op_precision(precision_bits, r) + 16):
+        thetas = (mpf(0),) + tuple(2 * mp.pi * j / M for j in range(1, M))
+    return _mirrored_curve(r, thetas, precision_bits)
+
+
+def _mirrored_curve(r, thetas, precision_bits) -> LevelCurve:
+    """Gamma_r at M image angles with thetas[M - j] = 2 pi - thetas[j].
 
     Nodes 0 and M/2 are the real crossings x0 and x_neg, nodes
     1 .. M/2 - 1 come from the closed form, and node M - j is the exact
     conjugate of node j; max_residual is taken over nodes 0 .. M/2.
     """
     r = _check_r(r)
-    check_node_count(M)
+    m = len(thetas)
     with workprec(op_precision(precision_bits, r) + 16):
-        thetas = (mpf(0),) + tuple(2 * mp.pi * j / M for j in range(1, M))
         x0, x_neg = real_crossings(r, precision_bits)
-        half = [mpc(x0)] + [_curve_point(r, t) for t in thetas[1 : M // 2]]
+        half = [mpc(x0)] + [_curve_point(r, t) for t in thetas[1 : m // 2]]
         half.append(mpc(x_neg))
         # conjugate() rounds to the ambient precision, the nodes' own here.
         points = half + [z.conjugate() for z in reversed(half[1:-1])]
-        return _level_curve(r, thetas, points, half, precision_bits)
-
-
-def _level_curve(r, thetas, points, computed, precision_bits) -> LevelCurve:
-    # max_residual over the computed nodes, at the caller's working precision.
-    level = mp.e ** (-r)
-    residual = max(abs(abs(_phi(z)) - level) for z in computed)
-    return LevelCurve(
-        r=r,
-        samples=tuple(zip(thetas, points)),
-        level=level,
-        max_residual=residual,
-        precision_bits=precision_bits,
-    )
+        level = mp.e ** (-r)
+        return LevelCurve(
+            r=r,
+            samples=tuple(zip(thetas, points)),
+            level=level,
+            max_residual=max(abs(abs(_phi(z)) - level) for z in half),
+            precision_bits=precision_bits,
+        )
 
 
 def locate(z, curve: LevelCurve) -> RegionTag:

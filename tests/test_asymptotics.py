@@ -14,10 +14,10 @@ from szegolab.asymptotics import (
     zero_distribution_report,
 )
 from szegolab.errors import InvalidSchedule
-from szegolab.laguerre import param_decomposition
+from szegolab.laguerre import LaguerreSpec, evaluate, param_decomposition
 from szegolab.precision import ap_real, default_precision, op_precision, workprec
 from szegolab.rootfinding import ZeroSet, contracted_zeros
-from szegolab.szego import level_curve_at, trace_level_curve
+from szegolab.szego import trace_level_curve
 
 from conftest import gap
 
@@ -144,21 +144,14 @@ def test_supnorm_extremality_scans_half_a_mirrored_curve(monkeypatch):
     calls = _count_evaluations(monkeypatch)
     half = supnorm_extremality(n, alpha, curve, 256)
     assert len(calls) == M // 2 - 1  # nodes 2 .. M/2
-    monkeypatch.setattr(asymptotics, "_conjugate_closed", lambda points: False)
-    full = supnorm_extremality(n, alpha, curve, 256)
-    assert len(calls) == (M // 2 - 1) + (M - 3)
+    spec = LaguerreSpec.contracted(n, alpha)
+    with workprec(op_precision(256, spec.alpha)):
+        full = max(
+            mp.e ** (-mp.re(z)) * abs(evaluate(spec, z, 256)) ** (mpf(1) / n)
+            for j, z in enumerate(curve.points)
+            if j not in (0, 1, M - 1)
+        )
     assert half == full
-
-
-def test_supnorm_extremality_scans_an_asymmetric_curve_in_full(monkeypatch):
-    n = 20
-    alpha = ap_real("-20.25", 256)
-    pd = param_decomposition(n, alpha, 256)
-    thetas = (0, mpf("0.3"), 1, 2, mpf("2.5"), 4, 5, 6)
-    curve = level_curve_at(pd.r_eff, thetas, 256)
-    calls = _count_evaluations(monkeypatch)
-    supnorm_extremality(n, alpha, curve, 256)
-    assert len(calls) == len(thetas) - 3
 
 
 def test_zero_distribution_report_fields():

@@ -181,7 +181,13 @@ def test_invalid_settings_are_usage_errors(tmp_path, capsys):
     assert main(["zeros", "--n", "4", "--alpha", "0.5", "--tol", "0"]) == 2
     assert main(["experiment", "--schedule", "generic", "--c", "0.25",
                  "--n", "8", "--nodes", "7", "--out-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.count("usage error") == 4
+    # --grid 0 is the caller's value, not a request for the default
+    leja_out = str(tmp_path / "leja.csv")
+    assert main(["leja", "--r", "1", "--count", "4", "--grid", "0",
+                 "--out", leja_out]) == 2
+    assert main(["verify", "--suite", "robin", "--nodes", "16", "--count", "2",
+                 "--grid", "0"]) == 2
+    assert capsys.readouterr().err.count("usage error") == 6
     assert os.listdir(tmp_path) == []
 
 

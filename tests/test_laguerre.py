@@ -219,6 +219,12 @@ def test_recommended_precision_grows_with_closeness():
     near = recommended_precision(60, ap_real("-59.99999", 512))
     assert near > base
     assert base >= default_precision(60) + 64
+    # schedule_precision at dist(alpha, S_n), floored at alpha's bits + 64
+    assert base == 276
+    assert recommended_precision(60, mpf("-60.1")) == 279
+    assert near == 512 + 64
+    assert recommended_precision(5, -3) == default_precision(5) + 64  # in S_n
+    assert recommended_precision(10, mpf("0.5")) == default_precision(10) + 64
 
 
 def test_askey_examples():

@@ -3,12 +3,14 @@
 import pytest
 from mpmath import mp, mpc, mpf
 
+from szegolab import szego
 from szegolab.errors import InvalidParameter
+from szegolab.potential import graded_mu_r
 from szegolab.precision import ap_real, op_precision, workprec
 from szegolab.szego import (
+    LevelCurve,
     RegionTag,
     curve_point,
-    level_curve_at,
     locate,
     phi_map,
     real_crossings,
@@ -180,21 +182,36 @@ def test_trace_validates_inputs():
         trace_level_curve(1, 33, PREC)
 
 
-def test_level_curve_at_solves_phi_at_given_angles_and_validates():
-    thetas = (0, mpf("0.001"), mpf("0.5"), 1, 2, 3, 4, 5, 6)
-    curve = level_curve_at(mpf(1), thetas, PREC)
-    assert curve.thetas == thetas
-    with workprec(PREC + 16):
-        for theta, z in curve.samples:
-            target = mp.e ** (-1 + 1j * theta)
-            assert gap(phi_map(z, PREC), target, PREC) <= mpf("1e-50")
-            assert abs(z) < 1
-    assert locate(mpc("0.05"), curve) is RegionTag.INTERIOR
+def test_graded_curve_is_mirrored_and_solves_phi(monkeypatch):
+    M = 64
+    calls = []
+    real = szego._curve_point
+
+    def curve_point_counted(r, theta):
+        calls.append(theta)
+        return real(r, theta)
+
+    monkeypatch.setattr(szego, "_curve_point", curve_point_counted)
+    for r in (0, 1):
+        calls.clear()
+        curve, _ = graded_mu_r(r, M, PREC)
+        assert len(calls) == M // 2 - 1
+        pts = curve.points
+        for j in range(1, M):
+            assert pts[M - j].real == pts[j].real
+            assert pts[M - j].imag + pts[j].imag == 0  # -x would round
+        assert pts[M // 2] == real_crossings(r, PREC)[1]
+        with workprec(PREC + 16):
+            for theta, z in curve.samples:
+                target = mp.e ** (-r + 1j * theta)
+                assert gap(phi_map(z, PREC), target, PREC) <= mpf("1e-50")
+
+
+def test_level_curve_rejects_unmirrored_nodes():
+    curve = trace_level_curve(mpf(1), 16, PREC)
+    thetas = (0, mpf("0.3"), 1, 2, mpf("2.5"), 4, 5, 6)
+    asymmetric = tuple((t, curve_point(1, t, PREC)) for t in thetas)
     with pytest.raises(InvalidParameter):
-        level_curve_at(mpf(1), thetas[1:], PREC)
+        LevelCurve(mpf(1), asymmetric, curve.level, curve.max_residual, PREC)
     with pytest.raises(InvalidParameter):
-        level_curve_at(mpf(1), (0, 2, 1), PREC)
-    with pytest.raises(InvalidParameter):
-        level_curve_at(mpf(1), (0, 7), PREC)
-    with pytest.raises(InvalidParameter):
-        level_curve_at(mpf(-1), thetas, PREC)
+        LevelCurve(mpf(1), curve.samples[:-1], curve.level, curve.max_residual, PREC)
