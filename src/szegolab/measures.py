@@ -60,6 +60,47 @@ class DiscreteMeasure:
 # meaningless at working precisions; reject instead of returning noise.
 SINGULAR_DISTANCE = mpf("1e-30")
 
+# Squared distances multiplied into one product before its single log; the
+# product's relative rounding error stays within about 64 ulps.
+_BLOCK = 64
+
+
+def _sq_dist(a, b) -> mpf:
+    """|a - b|^2 = dx^2 + dy^2, with no square root."""
+    d = a - b
+    dx, dy = d.real, d.imag
+    return dx * dx + dy * dy
+
+
+def _log_pair_sum(z, points, weights, floor):
+    """sum_j w_j log|z - x_j|^2 at the working precision, or None.
+
+    Runs of equal weights multiply their squared distances into one
+    product, which takes one mp.log per _BLOCK factors or at the next
+    weight change; mpf exponents cannot overflow, so the product needs no
+    rescaling.  Zero weights add nothing.  Returns None when some
+    |z - x_j|^2 <= floor, zero weights included, so each caller raises
+    its own error.
+    """
+    terms = []
+    run_w, prod, count = None, None, 0
+    for x, w in zip(points, weights):
+        s = _sq_dist(z, x)
+        if s <= floor:
+            return None
+        if not w:
+            continue
+        if count == _BLOCK or w != run_w:
+            if count:
+                terms.append(run_w * mp.log(prod))
+            run_w, prod, count = w, s, 1
+        else:
+            prod *= s
+            count += 1
+    if count:
+        terms.append(run_w * mp.log(prod))
+    return mp.fsum(terms)
+
 
 def log_potential(mu: DiscreteMeasure, z, precision_bits: int) -> mpf:
     """Logarithmic potential V^mu(z) = -sum_i w_i log|z - x_i| at a finite z."""
@@ -68,13 +109,9 @@ def log_potential(mu: DiscreteMeasure, z, precision_bits: int) -> mpf:
     prec = op_precision(precision_bits, z, *mu.points)
     with mp.workprec(prec):
         zc = mpc(z)
-        terms = []
-        for x, w in zip(mu.points, mu.weights):
-            d = abs(zc - x)
-            if d <= SINGULAR_DISTANCE:
-                raise SingularEvaluation(
-                    f"evaluation point {zc} within {SINGULAR_DISTANCE} of support"
-                )
-            if w:
-                terms.append(-w * mp.log(d))
-        return mp.fsum(terms)
+        total = _log_pair_sum(zc, mu.points, mu.weights, SINGULAR_DISTANCE**2)
+        if total is None:
+            raise SingularEvaluation(
+                f"evaluation point {zc} within {SINGULAR_DISTANCE} of support"
+            )
+        return -total / 2

@@ -13,6 +13,12 @@ inverse of phi on Gamma_r.  Two discretizations are built here:
   it, so their r = 0 identities hold to about 1e-16 at M = 4096.  The grid
   is symmetric, theta_(M-j) = 2 pi - theta_j, so its curve is built
   mirrored like the traced one.
+
+The energy, Leja and potential sums share one pair kernel in measures:
+squared distances dx^2 + dy^2, with no square root, multiplied into
+products.  weighted_energy takes one log per block of equal-weight pairs;
+weighted_leja keeps omega^(2k) prod |z - z_j|^2 per grid node as a
+product and takes a single log at the end.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .errors import InvalidParameter, InvalidTestPoint
-from .measures import DiscreteMeasure, log_potential
+from .measures import DiscreteMeasure, _log_pair_sum, _sq_dist, log_potential
 from .precision import op_precision, workprec
 from .szego import (
     DEFAULT_TRACE_PRECISION,
@@ -249,30 +255,27 @@ def weighted_energy(mu: DiscreteMeasure, precision_bits: int = 128) -> EnergyRes
     I = -sum_{i != j} w_i w_j log|x_i - x_j| + 2 sum_i w_i phi_ext(x_i)
     with phi_ext from DEFAULT_FIELD; the diagonal exclusion biases I by
     O(log M / M), which the calling checks absorb into their tolerances.
+    The pair part is -sum_i w_i sum_{j>i} w_j log|x_i - x_j|^2, one log
+    per block of squared distances; zero-weight points are skipped.
     """
     pts = mu.points
     if len(pts) < 2:
         raise InvalidParameter("weighted energy needs at least 2 points")
     prec = op_precision(precision_bits, *pts)
     with workprec(prec + 16):
-        terms = []
-        for i in range(len(pts)):
-            wi = mu.weights[i]
-            if wi == 0:
-                continue
-            for j in range(i + 1, len(pts)):
-                if mu.weights[j] == 0:
-                    continue
-                d = abs(pts[i] - pts[j])
-                if d == 0:
-                    raise InvalidParameter(
-                        "coincident support points give infinite energy"
-                    )
-                terms.append(-2 * wi * mu.weights[j] * mp.log(d))
+        support, weights = zip(*((x, w) for x, w in zip(pts, mu.weights) if w))
+        rows = []
+        for i in range(len(support) - 1):
+            row = _log_pair_sum(support[i], support[i + 1 :], weights[i + 1 :], 0)
+            if row is None:
+                raise InvalidParameter(
+                    "coincident support points give infinite energy"
+                )
+            rows.append(-weights[i] * row)
         field_sum = mp.fsum(
             w * DEFAULT_FIELD.phi(x, precision_bits) for x, w in zip(pts, mu.weights)
         )
-        energy = mp.fsum(terms) + 2 * field_sum
+        energy = mp.fsum(rows) + 2 * field_sum
         return EnergyResult(energy=energy, robin=energy - field_sum)
 
 
@@ -289,7 +292,9 @@ def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResu
     z_k maximizes omega(z)^k prod_{j<k} |z - z_j| over the traced grid
     (k = 1..N); t_hat_N = max_z omega(z)^N prod_{j<=N} |z - z_j| estimates
     the weighted Chebyshev constant, so -log(t_hat_N)/N approximates the
-    modified Robin constant (r+1)/2.
+    modified Robin constant (r+1)/2.  The squared objective is kept as an
+    mpf product per grid node (Reichel, BIT 30, 1990), so the whole greedy
+    run takes one log.
     """
     if N < 1:
         raise InvalidParameter(f"need N >= 1, got {N}")
@@ -300,21 +305,20 @@ def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResu
     grid = curve.points
     prec = op_precision(precision_bits, r)
     with workprec(prec + 16):
-        log_w = [-DEFAULT_FIELD.phi(g, precision_bits) for g in grid]
-        log_prod = [mpf(0)] * grid_M
+        # S_i = omega(g_i)^(2k) prod_{j<k} |g_i - z_j|^2, kept as a product:
+        # a chosen node's S drops to 0, and only the final max takes a log.
+        omega2 = [mp.exp(-2 * DEFAULT_FIELD.phi(g, precision_bits)) for g in grid]
+        S = list(omega2)
         chosen = []
-        for k in range(1, N + 1):
-            best_i = max(
-                range(grid_M), key=lambda i: k * log_w[i] + log_prod[i]
-            )
+        for _ in range(N):
+            best_i = max(range(grid_M), key=S.__getitem__)
             zk = grid[best_i]
             chosen.append(zk)
-            for i in range(grid_M):
-                d = abs(grid[i] - zk)
-                log_prod[i] = log_prod[i] + (mp.log(d) if d > 0 else mp.ninf)
-        best = max(N * log_w[i] + log_prod[i] for i in range(grid_M))
-        sup_norm = mp.e**best
-        robin_estimate = -best / N
+            S = [s * _sq_dist(g, zk) * w for s, g, w in zip(S, grid, omega2)]
+        # t_hat_N^2 = max_i S_i / omega(g_i)^2 (S carries k = N + 1)
+        best = max(s / w for s, w in zip(S, omega2))
+        sup_norm = mp.sqrt(best)
+        robin_estimate = -mp.log(best) / (2 * N)
         measure = DiscreteMeasure(
             points=tuple(chosen),
             weights=(mpf(1) / N,) * N,

@@ -104,6 +104,17 @@ def test_log_potential_singular_at_support():
         log_potential(mu, mu.points[3], PREC)
 
 
+def test_log_potential_singular_boundary():
+    # the test compares the squared distance with SINGULAR_DISTANCE**2
+    mu = discretize_mu_r(mpf(1), 64, PREC)
+    x = mu.points[5]
+    with workprec(PREC):
+        near, far = x + mpf("1e-31"), x + mpf("1e-29")
+    with pytest.raises(SingularEvaluation):
+        log_potential(mu, near, PREC)
+    assert mp.isfinite(log_potential(mu, far, PREC))
+
+
 def test_log_potential_rejects_non_finite_point():
     mu = DiscreteMeasure(points=(mpc(0),), weights=(mpf(1),))
     for bad in (mpc(mp.nan), mpc(mp.inf), mpc(0, -mp.inf)):
@@ -143,6 +154,64 @@ def test_weighted_energy_robin_constant():
     with workprec(PREC):
         slope = results[mpf(1)] - results[mpf(0)]
         assert abs(slope - mpf("0.5")) <= mpf("0.01")
+
+
+def test_weighted_energy_rejects_coincident_points():
+    mu = DiscreteMeasure(
+        points=(mpc(1), mpc(0, 1), mpc(1)), weights=(mpf(1) / 4, mpf(1) / 2, mpf(1) / 4)
+    )
+    with pytest.raises(InvalidParameter, match="coincident"):
+        weighted_energy(mu, precision_bits=PREC)
+
+
+@pytest.mark.parametrize("r", ["0", "1"])
+def test_weighted_energy_matches_pairwise_oracle(r):
+    # graded weights change at every node and include the zero weight at
+    # theta = 0, so every block of squared distances is flushed early
+    _, mu = graded_mu_r(mpf(r), 64, PREC)
+    res = weighted_energy(mu, precision_bits=PREC)
+    pts, ws = mu.points, mu.weights
+    with workprec(PREC + 16):
+        pairs = mp.fsum(
+            ws[i] * ws[j] * mp.log(abs(pts[i] - pts[j]))
+            for i in range(len(pts))
+            for j in range(i + 1, len(pts))
+            if ws[i] and ws[j]
+        )
+        field = mp.fsum(w * DEFAULT_FIELD.phi(x, PREC) for x, w in zip(pts, ws))
+        energy = -2 * pairs + 2 * field
+        robin = energy - field
+    assert gap(res.energy, energy, PREC) <= mpf("1e-50")
+    assert gap(res.robin, robin, PREC) <= mpf("1e-50")
+
+
+def _greedy_log_leja(r, N, grid_M, precision_bits):
+    """Weighted Leja points by greedy sums of logs: (points, robin estimate)."""
+    grid = trace_level_curve(r, grid_M, precision_bits).points
+    with workprec(precision_bits + 16):
+        log_w = [-DEFAULT_FIELD.phi(g, precision_bits) for g in grid]
+        log_prod = [mpf(0)] * grid_M
+        chosen = []
+        for k in range(1, N + 1):
+            best_i = max(range(grid_M), key=lambda i: k * log_w[i] + log_prod[i])
+            chosen.append(grid[best_i])
+            for i in range(grid_M):
+                d = abs(grid[i] - grid[best_i])
+                log_prod[i] += mp.log(d) if d > 0 else mp.ninf
+        best = max(N * log_w[i] + log_prod[i] for i in range(grid_M))
+        return chosen, -best / N
+
+
+@pytest.mark.parametrize("r", ["0", "1"])
+def test_weighted_leja_matches_greedy_log_sums(r):
+    N = 24
+    result = weighted_leja(mpf(r), N, 384, 128)
+    points, robin = _greedy_log_leja(mpf(r), N, 384, 128)
+    assert result.measure.points == tuple(points)
+    assert gap(result.robin_estimate, robin, 128) <= mpf("1e-30")
+    with workprec(128):
+        sup_norm = mp.exp(-N * result.robin_estimate)
+    assert gap(result.sup_norm, sup_norm, 128) <= mpf("1e-30")
 
 
 def test_weighted_leja_beginning_and_estimate():
