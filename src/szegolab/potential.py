@@ -127,14 +127,16 @@ def graded_mu_r(
     r > 0 (Kress, Numer. Math. 58, 1990; Sidi, ISNM 112, 1993).  The node at
     theta = 0 has weight 0.  The curve is a mirrored LevelCurve, so locate
     and pullback_density apply to it; only nodes 1 .. M/2 - 1 are
-    evaluated by Lambert W.
+    evaluated by Lambert W.  The weights are mirrored like the nodes,
+    w_(M-j) = w_j exactly.
     """
     r = mpf(r) if not isinstance(r, mpf) else r
     check_node_count(M)
     with workprec(op_precision(precision_bits, r) + 16):
         grid = [2 * mp.pi * j / M for j in range(M)]
         thetas = tuple(s - mp.sin(s) for s in grid)
-        weights = tuple((1 - mp.cos(s)) / M for s in grid)
+        half = [(1 - mp.cos(s)) / M for s in grid[: M // 2 + 1]]
+        weights = tuple(half + half[-2:0:-1])
     curve = _mirrored_curve(r, thetas, precision_bits)
     mu = DiscreteMeasure(
         points=curve.points,

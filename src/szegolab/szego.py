@@ -10,6 +10,8 @@ the exact conjugate of node j.  At r = 0 the curve has a corner at z = 1,
 the branch point of W_0; node 0 from real_crossings is exactly 1 there.
 LevelCurve rejects nodes that are not mirrored, so callers may scan half
 of any curve.  trace_level_curve samples the equispaced theta_j = 2 pi j / M.
+_w0 evaluates W_0 by mpmath's Halley iteration and stop rule from a close
+seed: the double W_0(x), or the branch series where x is near -1/e.
 """
 
 from __future__ import annotations
@@ -17,12 +19,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from mpmath import mp, mpc, mpf
+from mpmath import fp, mp, mpc, mpf
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, NonConvergence
 from .precision import op_precision, workprec
 
 DEFAULT_TRACE_PRECISION = 192
+# Halley steps before _w0 gives up; mpmath's lambertw stops at the same count.
+_W0_MAX_ITER = 100
+# Where e x + 1 cancels more bits than this, the branch series seeds W_0
+# better than a double does: the series errs by about 2^-(2c + 2) after
+# c cancelled bits and the double by about 2^-(53 - c/2); they cross near 20.
+_BRANCH_BITS = 20
 
 
 class RegionTag(enum.Enum):
@@ -111,9 +119,50 @@ def check_node_count(M) -> None:
         raise InvalidParameter(f"need even node count M >= 16, got {M}")
 
 
+def _w0(x):
+    """W_0(x) at the ambient precision prec, by Halley's iteration.
+
+    The iteration, its working precision prec + 20 and its stop rule
+    mag(w_new - w) <= mag(w_new) - (prec + 15) are mpmath's lambertw's; the
+    seed is better.  Away from the branch point -1/e it is the double
+    fp.lambertw(x), good to about 1e-16, so three steps finish at 192 bits
+    where lambertw's rough seed takes about six.  Where e x + 1 cancels
+    c > _BRANCH_BITS bits, a double no longer resolves it and the seed is the
+    branch series -1 + p - p^2/3 + 11 p^3/72, p = sqrt(2 (e x + 1))
+    (Corless et al. 1996).  As in lambertw, the precision rises by c/2 bits,
+    or the ill-conditioned steps near -1/e cannot meet the stop rule.  Where
+    e x + 1 rounds to 0, x is the branch point and W_0(x) = -1.  Raises
+    NonConvergence after _W0_MAX_ITER steps, where lambertw only warns.
+    """
+    prec = mp.prec
+    d = mp.e * x + 1
+    if not d:
+        return mpc(-1)
+    cancel = max(0, -mp.mag(d))
+    with workprec(prec + 20 + cancel // 2):
+        if cancel > _BRANCH_BITS:
+            p = mp.sqrt(2 * d)
+            w = -1 + p * (1 + p * (mpf(-1) / 3 + p * mpf(11) / 72))
+        else:
+            w = mpc(fp.lambertw(complex(x)))
+        for _ in range(_W0_MAX_ITER):
+            ew = mp.exp(w)
+            wew = w * ew
+            wewz = wew - x
+            wn = w - wewz / (wew + ew - (w + 2) * wewz / (2 * w + 2))
+            if mp.mag(wn - w) <= mp.mag(wn) - (prec + 15):
+                break
+            w = wn
+        else:
+            raise NonConvergence(
+                f"W_0 Halley iteration hit {_W0_MAX_ITER} steps at x = {x}", best=wn
+            )
+    return +wn
+
+
 def _curve_point(r, theta):
     # -W_0(-e^(-1-r+i theta)) at the caller's working precision.
-    return -mp.lambertw(-mp.e ** (-1 - r + 1j * theta))
+    return -_w0(-mp.e ** (-1 - r + 1j * theta))
 
 
 def curve_point(r, theta, precision_bits: int = DEFAULT_TRACE_PRECISION) -> mpc:
@@ -121,9 +170,10 @@ def curve_point(r, theta, precision_bits: int = DEFAULT_TRACE_PRECISION) -> mpc:
 
     phi(z) = w inverts on the bounded component as z = -W_0(-w/e)
     (Corless et al., Adv. Comput. Math. 5, 1996), so
-    z = -W_0(-e^(-1-r+i theta)), with no continuation.  At r = 0, theta = 0
-    this is the branch point of W_0, where lambertw returns 1 - 6e-32i at
-    192 bits instead of 1.
+    z = -W_0(-e^(-1-r+i theta)), with no continuation; _w0 evaluates W_0.
+    At r = 0, theta = 0 the argument is -1/e rounded, so z is the corner 1
+    to about half the working precision, and exactly 1 where e x + 1
+    rounds to 0, as it does at 192 bits.
     """
     r = _check_r(r)
     with workprec(op_precision(precision_bits, r) + 16):

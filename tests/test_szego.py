@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from szegolab import szego
-from szegolab.errors import InvalidParameter
+from szegolab.errors import InvalidParameter, NonConvergence
 from szegolab.potential import graded_mu_r
 from szegolab.precision import ap_real, op_precision, workprec
 from szegolab.szego import (
@@ -205,6 +205,45 @@ def test_graded_curve_is_mirrored_and_solves_phi(monkeypatch):
             for theta, z in curve.samples:
                 target = mp.e ** (-r + 1j * theta)
                 assert gap(phi_map(z, PREC), target, PREC) <= mpf("1e-50")
+
+
+@pytest.mark.parametrize(
+    "r, bits",
+    [(0, PREC), ("1e-40", PREC), ("1e-12", PREC), ("0.5", PREC), (22, PREC), ("0.3", 1088)],
+)
+def test_curve_point_matches_lambertw(r, bits):
+    # M = 64 equispaced and graded image angles, both starting at theta = 0,
+    # and theta = 1e-30: near r = 0 these make e x + 1 cancel enough bits for
+    # the branch series seed and the precision raise.  Each node must equal
+    # mpmath's or lie within 2^-bits of it, relatively.
+    M = 64
+    with workprec(bits + 16):
+        r = mpf(r)
+        grid = [2 * mp.pi * j / M for j in range(M)]
+        thetas = grid + [s - mp.sin(s) for s in grid] + [mpf("1e-30")]
+        for theta in thetas:
+            if r == 0 and theta == 0:
+                continue  # the corner; see test_curve_point_at_the_corner
+            z = szego._curve_point(r, theta)
+            ref = -mp.lambertw(-mp.e ** (-1 - r + 1j * theta))
+            assert z == ref or abs(z - ref) <= abs(ref) * mpf(2) ** -bits, theta
+
+
+def test_curve_point_at_the_corner():
+    # -e^(-1) rounds onto the branch point -1/e at 192 bits; mpmath's
+    # lambertw returns 1 - 6e-32i there.
+    assert gap(curve_point(0, 0, PREC), mpf(1), PREC) <= mpf(2) ** -150
+
+
+def test_w0_raises_nonconvergence_at_its_cap(monkeypatch):
+    # From a 1e-16 seed one Halley step cannot meet the stop rule at 192
+    # bits; lambertw would only warn and return its last iterate.
+    z = curve_point(mpf("0.5"), 1, PREC)
+    monkeypatch.setattr(szego, "_W0_MAX_ITER", 1)
+    with pytest.raises(NonConvergence) as err:
+        curve_point(mpf("0.5"), 1, PREC)
+    with workprec(PREC + 16):
+        assert gap(-err.value.best, z, PREC) <= mpf("1e-40")
 
 
 def test_level_curve_rejects_unmirrored_nodes():
