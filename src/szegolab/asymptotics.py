@@ -185,13 +185,18 @@ def zero_distribution_report(
     """Full convergence diagnostics for the contracted zeros at (n, alpha).
 
     The zeros are solved once and Gamma_(r_eff) is traced once, with M_curve
-    nodes at up to 512 bits; both are returned in the report.
+    nodes at up to 512 bits; both are returned in the report.  r_eff is
+    rounded to the trace precision first, since the trace would otherwise
+    rise to r_eff's own mantissa.
     """
     if precision_bits is None:
         precision_bits = recommended_precision(n, alpha)
     pd = param_decomposition(n, alpha, precision_bits)
     zs = contracted_zeros(n, alpha, precision_bits)
-    curve = trace_level_curve(pd.r_eff, M_curve, min(precision_bits, 512))
+    trace_bits = min(precision_bits, 512)
+    with workprec(trace_bits):
+        r_trace = +pd.r_eff
+    curve = trace_level_curve(r_trace, M_curve, trace_bits)
     prec = op_precision(precision_bits, pd.r_eff, *zs.zeros)
     with workprec(prec):
         level_dev = mpf(0)

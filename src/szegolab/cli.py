@@ -291,9 +291,7 @@ def suite_robin(r, M: int, precision_bits: int, count: int, grid: int) -> list:
             f"|F_hat - (r+1)/2| = {mp.nstr(err, 6)} at M = {M}",
         )
     )
-    leja = weighted_leja(r, count, grid, precision_bits)
-    with workprec(op_precision(precision_bits, leja.robin_estimate, r)):
-        rel = abs(leja.robin_estimate - target) / target
+    _, rel = weighted_leja(r, count, grid, precision_bits).robin_gap(r, precision_bits)
     checks.append(
         SuiteCheck(
             "leja-robin",
@@ -504,9 +502,7 @@ def cmd_leja(ns, conf) -> int:
     grid = _as_int("grid", _resolve(ns, conf, "grid", 16 * count))
     r = _as_mpf("r", r_text, precision)
     result = weighted_leja(r, count, grid, precision)
-    with workprec(op_precision(precision, result.robin_estimate, r)):
-        target = (r + 1) / 2
-        rel = abs(result.robin_estimate - target) / target
+    target, rel = result.robin_gap(r, precision)
     print(
         f"robin estimate = {format_real(result.robin_estimate, precision)} "
         f"(target {format_real(target, precision)}, relative gap {mp.nstr(rel, 4)})"

@@ -16,13 +16,19 @@ inverse of phi on Gamma_r.  Two discretizations are built here:
 
 The energy, Leja and potential sums share one pair kernel in measures:
 squared distances dx^2 + dy^2, with no square root, multiplied into
-products.  weighted_energy takes one log per block of equal-weight pairs;
-weighted_leja keeps omega^(2k) prod |z - z_j|^2 per grid node as a
-product and takes a single log at the end.
+products.  weighted_energy takes one log per block of equal-weight pairs.
+weighted_leja keeps omega^(2k) prod |z - z_j|^2 per grid node as an mpf
+product and takes a single log at the end.  It picks each greedy point
+through a double-precision shadow of the products' logs, whose running
+rounding-error bound, derived in the standard model, certifies which few
+nodes can win the step.  Only their products are brought up to date, lazily
+and in the order of an update of every node, so the points and the estimate
+are those of the full greedy rule to the last bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
@@ -281,22 +287,116 @@ def weighted_energy(mu: DiscreteMeasure, precision_bits: int = 128) -> EnergyRes
         return EnergyResult(energy=energy, robin=energy - field_sum)
 
 
+
+
 @dataclass(frozen=True)
 class LejaResult:
     measure: DiscreteMeasure
     sup_norm: mpf
     robin_estimate: mpf
 
+    def robin_gap(self, r, precision_bits: int) -> tuple:
+        """(target, relative gap): the modified Robin constant (r+1)/2 and
+        |robin_estimate - (r+1)/2| / ((r+1)/2), at the estimate's precision."""
+        with workprec(op_precision(precision_bits, self.robin_estimate, r)):
+            target = (r + 1) / 2
+            return target, abs(self.robin_estimate - target) / target
+
+
+# weighted_leja's double shadow.  After k greedy steps the exact objective of
+# grid node g_i is the mpf S_i = omega2_i^(k+1) prod_(j<k) |g_i - z_j|^2; its
+# shadow is F_i = lw_i + sum_(j<k) (lw_i + log(dx^2 + dy^2)).  lw_i is the
+# double of the exponent L_i = -2 phi_ext(g_i) whose mp.exp is omega2_i, and
+# dx, dy are doubles of (g_i - z_j)/c with c = 2^e >= every |Re g|, |Im g|, so
+# no coordinate underflows where the curve is small (its radius is about
+# e^(-1-r)).  F_i approximates ln S_i - 2 k ln c, the same shift for every
+# node, within E_i.  In the standard model (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2002, sec. 2.2), with u = 2^-53, rounding to nearest
+# and P >= 80 mp bits, term j of node i errs by at most u times
+#   2.001 rho_hat   the coordinates: float() rounds each to nearest, so the
+#                   difference vector moves by at most u (|g_i| + |z_j|)/c
+#                   (Minkowski) and its squared norm by a factor within
+#                   (1 -+ u rho)^2, rho = (|g_i| + |z_j|)/|g_i - z_j|; for
+#                   the computed rho_hat <= _SHADOW_RATIO, u rho < 2^-12 and
+#                   rho <= 1.0002 rho_hat;
+#   4.001           the two subtractions, the two squares and their sum;
+#   2.001 |l|       l = log(dx^2 + dy^2), faithfully rounded;
+#   1.001 |lw_i|    lw_i, rounded to nearest from L_i;
+#   1.001 |lw_i + l|, 1.001 |f|   the sums t = lw_i + l and f = F_i + t;
+# plus less than 2^-69 in all for the mpf roundings of S_i (six of 2^-P per
+# step) and of omega2_i (2^(1-P)), and for subnormal coordinates or squares
+# once dx^2 + dy^2 > _SHADOW_TINY.  Per term E_i adds
+# u (3 rho_hat + 4 |l| + 3 |lw_i| + 3 |f| + 5), which rounds these up; the
+# surplus, over u (|f| + 1), also covers the rounding of F_i +- E_i in the
+# candidate test and of E_i's own sum.  The start F_i = lw_i errs by at most
+# 1.001 u |lw_i| + 2^(2-P), which u (3 |lw_i| + 2) covers in the same way.
+
+# Unit roundoff of IEEE double.  Every term of the shadow's error bound is a
+# multiple of it, so setting it to inf makes every node a candidate.
+_SHADOW_U = 2.0**-53
+# A term with rho_hat above _SHADOW_RATIO, or with a squared distance at or
+# below _SHADOW_TINY (toward the subnormal range), is not bounded: its node
+# gets E_i = inf and stays a candidate.
+_SHADOW_RATIO = 2.0**40
+_SHADOW_TINY = 2.0**-1000
+
+
+def _scaled_doubles(points) -> tuple:
+    """Doubles of Re z / 2^e and Im z / 2^e, with 2^e >= every |Re z|, |Im z|.
+
+    Division by a power of two is exact in mpf, so each double is the one
+    nearest to its scaled coordinate.
+    """
+    e = max(mp.mag(x) for z in points for x in (z.real, z.imag) if x)
+    xs = [float(mp.ldexp(z.real, -e)) for z in points]
+    ys = [float(mp.ldexp(z.imag, -e)) for z in points]
+    return xs, ys
+
+
+def _candidates(live, F, E) -> list:
+    """Live nodes whose objective can be the largest, in index order.
+
+    Node i is dropped only if F_i + E_i < max_j (F_j - E_j): its objective
+    is then strictly below node j's, so every maximizer is kept.
+    """
+    lo = max(F[i] - E[i] for i in live)
+    return [i for i in live if F[i] + E[i] >= lo]
+
+
+def _shadow_step(c, live, xs, ys, rad, lw, F, E) -> None:
+    """Add the factor omega2_i |g_i - g_c|^2 to every live node's shadow."""
+    zx, zy, zr = xs[c], ys[c], rad[c]
+    for i in live:
+        dx = xs[i] - zx
+        dy = ys[i] - zy
+        d2 = dx * dx + dy * dy
+        rho = (rad[i] + zr) / math.sqrt(d2) if d2 > _SHADOW_TINY else math.inf
+        if rho > _SHADOW_RATIO:
+            E[i] = math.inf
+            continue
+        lg = math.log(d2)
+        w = lw[i]
+        f = F[i] + (w + lg)
+        F[i] = f
+        E[i] += _SHADOW_U * (3 * rho + 4 * abs(lg) + 3 * abs(w) + 3 * abs(f) + 5)
+
 
 def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResult:
     """Greedy weighted Leja points on Gamma_r.
 
     z_k maximizes omega(z)^k prod_{j<k} |z - z_j| over the traced grid
-    (k = 1..N); t_hat_N = max_z omega(z)^N prod_{j<=N} |z - z_j| estimates
-    the weighted Chebyshev constant, so -log(t_hat_N)/N approximates the
-    modified Robin constant (r+1)/2.  The squared objective is kept as an
-    mpf product per grid node (Reichel, BIT 30, 1990), so the whole greedy
-    run takes one log.
+    (k = 1..N), the first maximal node on ties; t_hat_N = max_z omega(z)^N
+    prod_{j<=N} |z - z_j| estimates the weighted Chebyshev constant, so
+    -log(t_hat_N)/N approximates the modified Robin constant (r+1)/2
+    (Reichel, BIT 30, 1990).  The squared objective of node i is an mpf
+    product S_i, and a double shadow F_i ~ ln S_i with a running error bound
+    E_i (derived above _SHADOW_U) picks the nodes that can win: only those
+    with F_i + E_i >= max_j (F_j - E_j).  Their S_i are brought up to date
+    lazily, by the same mpf operations in the same order as an update of
+    every node at every step, so points, sup_norm and robin_estimate are
+    those of that eager rule to the last bit; about one node per step is
+    updated instead of grid_M.  The final max over S_i / omega2_i is taken
+    the same way.
     """
     if N < 1:
         raise InvalidParameter(f"need N >= 1, got {N}")
@@ -307,18 +407,49 @@ def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResu
     grid = curve.points
     prec = op_precision(precision_bits, r)
     with workprec(prec + 16):
-        # S_i = omega(g_i)^(2k) prod_{j<k} |g_i - z_j|^2, kept as a product:
-        # a chosen node's S drops to 0, and only the final max takes a log.
-        omega2 = [mp.exp(-2 * DEFAULT_FIELD.phi(g, precision_bits)) for g in grid]
+        # omega2 = e^L, L = -2 phi_ext; |conj g| and Re g are exact, so the
+        # mirrored half of the grid repeats nodes 1 .. M/2 - 1 to the last bit.
+        half = [
+            -2 * DEFAULT_FIELD.phi(g, precision_bits) for g in grid[: grid_M // 2 + 1]
+        ]
+        w_half = [mp.exp(x) for x in half]
+        omega2 = w_half + w_half[-2:0:-1]
+        lw_half = [float(x) for x in half]
+        lw = lw_half + lw_half[-2:0:-1]
+        xs, ys = _scaled_doubles(grid)
+        rad = [abs(x) + abs(y) for x, y in zip(xs, ys)]
+        F = list(lw)
+        E = [_SHADOW_U * (3 * abs(w) + 2) for w in lw]
+        # S_i = omega(g_i)^(2k) prod_{j<k} |g_i - z_j|^2 after done[i] steps.
         S = list(omega2)
+        done = [0] * grid_M
+        live = list(range(grid_M))
         chosen = []
+
+        def exact(i):
+            # S_i after every chosen point, factors applied in the eager order
+            s, g, w = S[i], grid[i], omega2[i]
+            for z in chosen[done[i] :]:
+                s = s * _sq_dist(g, z) * w
+            S[i], done[i] = s, len(chosen)
+            return s
+
         for _ in range(N):
-            best_i = max(range(grid_M), key=S.__getitem__)
-            zk = grid[best_i]
-            chosen.append(zk)
-            S = [s * _sq_dist(g, zk) * w for s, g, w in zip(S, grid, omega2)]
-        # t_hat_N^2 = max_i S_i / omega(g_i)^2 (S carries k = N + 1)
-        best = max(s / w for s, w in zip(S, omega2))
+            # max keeps the first of equal keys, and candidates are in
+            # index order: conjugate nodes tie after a real point.
+            best_i = max(_candidates(live, F, E), key=exact)
+            chosen.append(grid[best_i])
+            live.remove(best_i)
+            _shadow_step(best_i, live, xs, ys, rad, lw, F, E)
+        # t_hat_N^2 = max_i S_i / omega(g_i)^2 (S carries k = N + 1); chosen
+        # nodes, with S_i = 0, are not live.  G_i = F_i - lw_i shadows
+        # ln(S_i / omega2_i) within EG_i: E_i plus lw_i and the subtraction.
+        G = [f - w for f, w in zip(F, lw)]
+        EG = [
+            e + _SHADOW_U * (3 * abs(w) + 3 * abs(g) + 2)
+            for e, w, g in zip(E, lw, G)
+        ]
+        best = max(exact(i) / omega2[i] for i in _candidates(live, G, EG))
         sup_norm = mp.sqrt(best)
         robin_estimate = -mp.log(best) / (2 * N)
         measure = DiscreteMeasure(

@@ -15,7 +15,13 @@ from szegolab.asymptotics import (
 )
 from szegolab.errors import InvalidSchedule
 from szegolab.laguerre import LaguerreSpec, evaluate, param_decomposition
-from szegolab.precision import ap_real, default_precision, op_precision, workprec
+from szegolab.precision import (
+    ap_real,
+    default_precision,
+    mantissa_bits,
+    op_precision,
+    workprec,
+)
 from szegolab.rootfinding import ZeroSet, contracted_zeros
 from szegolab.szego import trace_level_curve
 
@@ -167,6 +173,20 @@ def test_zero_distribution_report_fields():
     assert report.ks_theta <= mpf("0.1")
     assert report.supnorm_gap < 0
     assert report.origin_gap <= mpf("0.2")
+
+
+def test_zero_distribution_report_traces_at_the_cap():
+    # r_eff carries the schedule's 616 bits; the curve is traced at
+    # 512 + 16 working bits all the same.
+    n = 14
+    sched = make_schedule("superexponential")
+    bits = sched.precision_bits(n)
+    assert bits > 512
+    report = zero_distribution_report(n, sched.alpha_at(n), 64, bits)
+    assert mantissa_bits(report.r_eff) > 512
+    with workprec(512):
+        assert report.curve.r == +report.r_eff
+    assert max(mantissa_bits(z) for z in report.curve.points) <= 512 + 16
 
 
 def test_level_median_on_synthetic_curve_zeros():

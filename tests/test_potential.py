@@ -5,7 +5,8 @@ from mpmath import mp, mpc, mpf
 
 from szegolab.cli import suite_lemma1
 from szegolab.errors import InvalidParameter, InvalidTestPoint, SingularEvaluation
-from szegolab.measures import DiscreteMeasure, log_potential
+from szegolab import potential
+from szegolab.measures import DiscreteMeasure, _sq_dist, log_potential
 from szegolab.potential import (
     DEFAULT_FIELD,
     discretize_mu_r,
@@ -212,6 +213,89 @@ def test_weighted_leja_matches_greedy_log_sums(r):
     with workprec(128):
         sup_norm = mp.exp(-N * result.robin_estimate)
     assert gap(result.sup_norm, sup_norm, 128) <= mpf("1e-30")
+
+
+def _product_greedy_leja(r, N, grid_M, precision_bits):
+    """(points, sup_norm, robin_estimate) of the eager greedy rule, which
+    updates every grid product at every step; weighted_leja must equal it."""
+    curve = trace_level_curve(r, grid_M, precision_bits)
+    grid = curve.points
+    prec = op_precision(precision_bits, r)
+    with workprec(prec + 16):
+        # S_i = omega(g_i)^(2k) prod_{j<k} |g_i - z_j|^2, kept as a product:
+        # a chosen node's S drops to 0, and only the final max takes a log.
+        omega2 = [mp.exp(-2 * DEFAULT_FIELD.phi(g, precision_bits)) for g in grid]
+        S = list(omega2)
+        chosen = []
+        for _ in range(N):
+            best_i = max(range(grid_M), key=S.__getitem__)
+            zk = grid[best_i]
+            chosen.append(zk)
+            S = [s * _sq_dist(g, zk) * w for s, g, w in zip(S, grid, omega2)]
+        # t_hat_N^2 = max_i S_i / omega(g_i)^2 (S carries k = N + 1)
+        best = max(s / w for s, w in zip(S, omega2))
+        sup_norm = mp.sqrt(best)
+        robin_estimate = -mp.log(best) / (2 * N)
+    return tuple(chosen), sup_norm, robin_estimate
+
+
+def _leja_triple(result):
+    return result.measure.points, result.sup_norm, result.robin_estimate
+
+
+def _count_sq_dist(monkeypatch):
+    calls = [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        return _sq_dist(a, b)
+
+    monkeypatch.setattr(potential, "_sq_dist", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "r, N, grid_M, bits",
+    [
+        ("0", 24, 384, 128),
+        ("1e-12", 24, 384, 128),
+        ("0.3", 24, 384, 128),
+        ("0.5", 24, 384, 128),
+        ("1", 24, 384, 128),
+        # nearly a circle: near-ties give several candidates per step
+        ("30", 8, 64, 192),
+        # radius about e^-801: unscaled doubles of the nodes would be 0, and
+        # every node a candidate
+        ("800", 8, 64, 192),
+    ],
+)
+def test_weighted_leja_is_the_product_greedy_rule(monkeypatch, r, N, grid_M, bits):
+    r = ap_real(r, bits)
+    calls = _count_sq_dist(monkeypatch)
+    result = weighted_leja(r, N, grid_M, bits)
+    assert _leja_triple(result) == _product_greedy_leja(r, N, grid_M, bits)
+    # the eager rule takes N * grid_M squared distances
+    assert calls[0] < N * grid_M / 4
+
+
+def test_weighted_leja_unbounded_shadow_updates_every_node(monkeypatch):
+    # An infinite error bound makes every unchosen node a candidate at every
+    # step: each step brings all of them up to date, as the eager rule does.
+    r, N, grid_M = mpf("0.5"), 24, 384
+    monkeypatch.setattr(potential, "_SHADOW_U", mp.inf)
+    calls = _count_sq_dist(monkeypatch)
+    result = weighted_leja(r, N, grid_M, 128)
+    assert _leja_triple(result) == _product_greedy_leja(r, N, grid_M, 128)
+    assert calls[0] == sum(grid_M - k for k in range(1, N + 1)) <= N * grid_M
+
+
+def test_leja_robin_gap():
+    r = ap_real("0.3", 128)
+    result = weighted_leja(r, 24, 384, 128)
+    target, rel = result.robin_gap(r, 128)
+    with workprec(op_precision(128, result.robin_estimate, r)):
+        assert target == (r + 1) / 2
+        assert rel == abs(result.robin_estimate - target) / target
 
 
 def test_weighted_leja_beginning_and_estimate():
