@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 from .errors import InvalidParameter, SingularEvaluation
 from .precision import mantissa_bits, op_precision
@@ -38,7 +40,9 @@ class DiscreteMeasure:
             )
         if not points:
             raise InvalidParameter("measure needs at least one point")
-        if any(w < 0 for w in weights):
+        if not all(mp.isfinite(p) for p in points):
+            raise InvalidParameter("support points must be finite")
+        if not all(w >= 0 for w in weights):
             raise InvalidParameter("weights must be nonnegative")
         with mp.workprec(max(64, *(mantissa_bits(w) for w in weights))):
             total = mp.fsum(weights)
@@ -51,6 +55,15 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def _point_bits(self) -> int:
+        """The widest mantissa among the support points.
+
+        log_potential is called at many points of one measure; caching this
+        saves a pass over the support, about as costly as the pair kernel.
+        """
+        return max(mantissa_bits(p) for p in self.points)
+
     def total_mass(self) -> mpf:
         with mp.workprec(max(64, *(mantissa_bits(w) for w in self.weights))):
             return mp.fsum(self.weights)
@@ -60,9 +73,12 @@ class DiscreteMeasure:
 # meaningless at working precisions; reject instead of returning noise.
 SINGULAR_DISTANCE = mpf("1e-30")
 
-# Squared distances multiplied into one product before its single log; the
-# product's relative rounding error stays within about 64 ulps.
+# Exact squared distances multiplied into one product before its single log.
+# The running product is truncated to prec + _GUARD bits after each multiply,
+# so a block's at most 63 truncations leave its relative error below
+# 63 * 2^-(prec + 15) < 2^-(prec + 9) before it is rounded once to prec bits.
 _BLOCK = 64
+_GUARD = 16
 
 
 def _sq_dist(a, b) -> mpf:
@@ -72,33 +88,91 @@ def _sq_dist(a, b) -> mpf:
     return dx * dx + dy * dy
 
 
-def _log_pair_sum(z, points, weights, floor):
-    """sum_j w_j log|z - x_j|^2 at the working precision, or None.
+def _parts(p) -> tuple:
+    """The mpf tuples (sign, man, exp, bc) of Re p and Im p."""
+    return p._mpc_ if isinstance(p, mpc) else (p._mpf_, fzero)
 
-    Runs of equal weights multiply their squared distances into one
-    product, which takes one mp.log per _BLOCK factors or at the next
-    weight change; mpf exponents cannot overflow, so the product needs no
-    rescaling.  Zero weights add nothing.  Returns None when some
-    |z - x_j|^2 <= floor, zero weights included, so each caller raises
-    its own error.
+
+def _gaussian_ints(points) -> tuple:
+    """(X, Y, e) with points[j] = (X[j] + i Y[j]) 2^e exactly.
+
+    An mpf is man * 2^exp, so e, the least exponent of a nonzero
+    coordinate, turns every finite coordinate into an int with no rounding.
     """
+    e = min((c[2] for p in points for c in _parts(p) if c[1]), default=0)
+
+    def to_int(c):
+        sign, man, exp, _ = c
+        v = man << (exp - e) if man else 0
+        return -v if sign else v
+
+    xs, ys = [], []
+    for p in points:
+        re, im = _parts(p)
+        xs.append(to_int(re))
+        ys.append(to_int(im))
+    return xs, ys, e
+
+
+def _floor_int(floor, e) -> int:
+    """The largest int S with S 4^e <= floor, for a floor >= 0."""
+    _, man, exp, _ = mpf(floor)._mpf_
+    k = exp - 2 * e
+    return man << k if k >= 0 else man >> -k
+
+
+def _mirror_order(m):
+    """0, 1, m - 1, 2, m - 2, ...: node j next to its mirror node m - j."""
+    yield 0
+    for j in range(1, m // 2 + 1):
+        yield j
+        if m - j != j:
+            yield m - j
+
+
+def _block_log(man, exp, prec) -> mpf:
+    """mp.log of man * 2^exp, rounded once to prec bits before the log."""
+    return mp.log(mp.make_mpf(from_man_exp(man, exp, prec, round_nearest)))
+
+
+def _log_pair_sum(zx, zy, xs, ys, weights, order, e, floor):
+    """sum_j w_j log|z - x_j|^2 over j in order, at the working precision.
+
+    z = (zx + i zy) 2^e and x_j = (xs[j] + i ys[j]) 2^e are Gaussian
+    integers on one scale (_gaussian_ints), so each squared distance
+    dx^2 + dy^2 is an exact int.  Runs of equal weights multiply their
+    squared distances into one product, which takes one mp.log per _BLOCK
+    factors or at the next weight change; the product is kept to
+    prec + _GUARD bits, so the argument of each log errs by less than
+    2^-(prec + 9) relative before its one rounding.  Zero weights add
+    nothing.  Returns None when some dx^2 + dy^2 <= floor, an int on the
+    same scale, zero weights included, so each caller raises its own error;
+    that comparison is exact.
+    """
+    prec = mp.prec
+    keep = prec + _GUARD
     terms = []
-    run_w, prod, count = None, None, 0
-    for x, w in zip(points, weights):
-        s = _sq_dist(z, x)
+    run_w, prod, shift, count = None, 0, 0, 0
+    for j in order:
+        dx = xs[j] - zx
+        dy = ys[j] - zy
+        s = dx * dx + dy * dy
         if s <= floor:
             return None
-        if not w:
-            continue
-        if count == _BLOCK or w != run_w:
-            if count:
-                terms.append(run_w * mp.log(prod))
-            run_w, prod, count = w, s, 1
-        else:
+        w = weights[j]
+        if 0 < count < _BLOCK and (w is run_w or w == run_w):
             prod *= s
+            extra = prod.bit_length() - keep
+            if extra > 0:
+                prod >>= extra
+                shift += extra
             count += 1
+        elif w:
+            if count:
+                terms.append(run_w * _block_log(prod, shift + 2 * e * count, prec))
+            run_w, prod, shift, count = w, s, 0, 1
     if count:
-        terms.append(run_w * mp.log(prod))
+        terms.append(run_w * _block_log(prod, shift + 2 * e * count, prec))
     return mp.fsum(terms)
 
 
@@ -106,10 +180,16 @@ def log_potential(mu: DiscreteMeasure, z, precision_bits: int) -> mpf:
     """Logarithmic potential V^mu(z) = -sum_i w_i log|z - x_i| at a finite z."""
     if not mp.isfinite(z):
         raise InvalidParameter(f"evaluation point must be finite, got {z}")
-    prec = op_precision(precision_bits, z, *mu.points)
+    prec = max(op_precision(precision_bits, z), mu._point_bits)
     with mp.workprec(prec):
         zc = mpc(z)
-        total = _log_pair_sum(zc, mu.points, mu.weights, SINGULAR_DISTANCE**2)
+        # the nodes are visited in _mirror_order, so the equal weights of
+        # mirrored nodes j and M - j fall in one run and share one log
+        xs, ys, e = _gaussian_ints((*mu.points, zc))
+        zx, zy = xs.pop(), ys.pop()
+        floor = _floor_int(SINGULAR_DISTANCE**2, e)
+        order = _mirror_order(len(mu))
+        total = _log_pair_sum(zx, zy, xs, ys, mu.weights, order, e, floor)
         if total is None:
             raise SingularEvaluation(
                 f"evaluation point {zc} within {SINGULAR_DISTANCE} of support"

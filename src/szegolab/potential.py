@@ -14,16 +14,20 @@ inverse of phi on Gamma_r.  Two discretizations are built here:
   is symmetric, theta_(M-j) = 2 pi - theta_j, so its curve is built
   mirrored like the traced one.
 
-The energy, Leja and potential sums share one pair kernel in measures:
-squared distances dx^2 + dy^2, with no square root, multiplied into
-products.  weighted_energy takes one log per block of equal-weight pairs.
-weighted_leja keeps omega^(2k) prod |z - z_j|^2 per grid node as an mpf
-product and takes a single log at the end.  It picks each greedy point
-through a double-precision shadow of the products' logs, whose running
-rounding-error bound, derived in the standard model, certifies which few
-nodes can win the step.  Only their products are brought up to date, lazily
-and in the order of an update of every node, so the points and the estimate
-are those of the full greedy rule to the last bit.
+The energy, Leja and potential sums multiply squared distances
+dx^2 + dy^2, with no square root, into products.  weighted_energy and
+log_potential share the pair kernel measures._log_pair_sum: it converts the
+points once to Gaussian integers on one power-of-two scale, so every
+squared distance is an exact int, keeps each block of up to 64 equal-weight
+factors to 16 guard bits (relative error below 2^-(prec + 9)), and rounds
+the block once before its single log.  weighted_leja keeps
+omega^(2k) prod |z - z_j|^2 per grid node as an mpf product and takes a
+single log at the end.  It picks each greedy point through a
+double-precision shadow of the products' logs, whose running rounding-error
+bound, derived in the standard model, certifies which few nodes can win the
+step.  Only their products are brought up to date, lazily and in the order
+of an update of every node, so the points and the estimate are those of the
+full greedy rule to the last bit.
 """
 
 from __future__ import annotations
@@ -34,7 +38,13 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .errors import InvalidParameter, InvalidTestPoint
-from .measures import DiscreteMeasure, _log_pair_sum, _sq_dist, log_potential
+from .measures import (
+    DiscreteMeasure,
+    _gaussian_ints,
+    _log_pair_sum,
+    _sq_dist,
+    log_potential,
+)
 from .precision import op_precision, workprec
 from .szego import (
     DEFAULT_TRACE_PRECISION,
@@ -264,7 +274,9 @@ def weighted_energy(mu: DiscreteMeasure, precision_bits: int = 128) -> EnergyRes
     with phi_ext from DEFAULT_FIELD; the diagonal exclusion biases I by
     O(log M / M), which the calling checks absorb into their tolerances.
     The pair part is -sum_i w_i sum_{j>i} w_j log|x_i - x_j|^2, one log
-    per block of squared distances; zero-weight points are skipped.
+    per block of squared distances; zero-weight points are skipped.  The
+    support is converted to Gaussian integers once, and every row runs the
+    exact-integer kernel measures._log_pair_sum on them.
     """
     pts = mu.points
     if len(pts) < 2:
@@ -272,9 +284,11 @@ def weighted_energy(mu: DiscreteMeasure, precision_bits: int = 128) -> EnergyRes
     prec = op_precision(precision_bits, *pts)
     with workprec(prec + 16):
         support, weights = zip(*((x, w) for x, w in zip(pts, mu.weights) if w))
+        xs, ys, e = _gaussian_ints(support)
+        m = len(support)
         rows = []
-        for i in range(len(support) - 1):
-            row = _log_pair_sum(support[i], support[i + 1 :], weights[i + 1 :], 0)
+        for i in range(m - 1):
+            row = _log_pair_sum(xs[i], ys[i], xs, ys, weights, range(i + 1, m), e, 0)
             if row is None:
                 raise InvalidParameter(
                     "coincident support points give infinite energy"

@@ -165,11 +165,19 @@ def test_weighted_energy_rejects_coincident_points():
         weighted_energy(mu, precision_bits=PREC)
 
 
-@pytest.mark.parametrize("r", ["0", "1"])
-def test_weighted_energy_matches_pairwise_oracle(r):
+@pytest.mark.parametrize(
+    "r, equal",
+    [("0", False), ("1", False), ("0", True), ("1", True)],
+    ids=["0", "1", "equal-0", "equal-1"],
+)
+def test_weighted_energy_matches_pairwise_oracle(r, equal):
     # graded weights change at every node and include the zero weight at
-    # theta = 0, so every block of squared distances is flushed early
-    _, mu = graded_mu_r(mpf(r), 64, PREC)
+    # theta = 0, so every block of squared distances is flushed early; the
+    # equal weights at M = 128 fill whole 64-factor blocks in the first rows
+    if equal:
+        mu = discretize_mu_r(mpf(r), 128, PREC)
+    else:
+        _, mu = graded_mu_r(mpf(r), 64, PREC)
     res = weighted_energy(mu, precision_bits=PREC)
     pts, ws = mu.points, mu.weights
     with workprec(PREC + 16):
