@@ -27,7 +27,7 @@ from .laguerre import (
 )
 from .precision import op_precision, schedule_precision, workprec
 from .rootfinding import ZeroSet, contracted_zeros
-from .szego import LevelCurve, phi_map, trace_level_curve
+from .szego import LevelCurve, _phi, phi_map, trace_level_curve
 
 _SCHEDULE_KINDS = ("generic", "exponential", "superexponential")
 
@@ -122,7 +122,7 @@ class ConvergenceReport:
 
 
 def _theta_of(z):
-    theta = mp.arg(z * mp.e ** (1 - z))
+    theta = mp.arg(_phi(z))
     if theta < 0:
         theta += 2 * mp.pi
     return theta
@@ -201,7 +201,7 @@ def zero_distribution_report(
     with workprec(prec):
         level_dev = mpf(0)
         for z in zs.zeros:
-            level_dev = max(level_dev, abs(mp.log(abs(z * mp.e ** (1 - z))) + pd.r_eff))
+            level_dev = max(level_dev, abs(mp.log(abs(_phi(z))) + pd.r_eff))
         moment_gaps = []
         for k in range(5):
             mean = mp.fsum((z**k for z in zs.zeros)) / n

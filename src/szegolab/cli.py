@@ -51,7 +51,41 @@ SUITES = ("lemma1", "balayage", "robin", "laguerre-identities")
 
 
 # ---------------------------------------------------------------------------
-# option resolution: explicit flag > config file > environment > default
+# options: explicit flag > config file > environment > default
+
+
+@dataclass(frozen=True)
+class _Option:
+    help: str
+    default: object = None
+    choices: tuple = None
+    repeat: bool = False  # a repeatable flag; its value is a list
+
+
+# Each flag once; a command's config keys are its flag names.  Defaults that
+# differ by command (precision, verify's r, grid = 16 * count) live in the
+# handlers.
+_OPTIONS = {
+    "n": _Option("polynomial degree"),
+    "alpha": _Option("Laguerre parameter (decimal string)"),
+    "tol": _Option("root residual tolerance"),
+    "suite": _Option("suite name", choices=SUITES),
+    "fig": _Option("figure number: 2 or 3"),
+    "schedule": _Option("generic | exponential | superexponential"),
+    "r": _Option("level, r >= 0; measure takes inf for the point mass at 0, "
+                 "verify defaults to 1"),
+    "c": _Option("offset for the generic schedule, 0 < c <= 1/2"),
+    "rate": _Option("rate for the exponential schedule, >= 0"),
+    "nodes": _Option("node count M of Gamma_r, even and >= 16", 512),
+    "at": _Option("evaluation point, e.g. 2, -0.3, or 0.1+0.2j; repeatable", "0",
+                  repeat=True),
+    "count": _Option("number of Leja points", 128),
+    "grid": _Option("Leja candidate grid size (default 16*count)"),
+    "out": _Option("output CSV path (default: stdout; leja: no CSV)"),
+    "out-dir": _Option("output directory", "."),
+    "precision": _Option(f"working precision in bits, >= 64 (env {ENV_PRECISION})"),
+    "config": _Option("flat key=value file supplying defaults for any flag"),
+}
 
 
 def _load_config(path) -> dict:
@@ -71,15 +105,6 @@ def _load_config(path) -> dict:
             )
         values[key.strip()] = value.strip()
     return values
-
-
-def _resolve(ns, conf, name, default=None):
-    value = getattr(ns, name.replace("-", "_"), None)
-    if value is None:
-        value = conf.get(name)
-    if value is None:
-        value = default
-    return value
 
 
 def _as_int(name, value):
@@ -110,31 +135,26 @@ def _as_mpc(name, value, precision_bits):
         ) from None
 
 
-def _resolve_precision(ns, conf, default=192):
-    value = _resolve(ns, conf, "precision")
-    if value is None:
-        env = os.environ.get(ENV_PRECISION)
-        if env is not None:
-            value = env
-    if value is None:
+def _precision(ns, default):
+    """The resolved precision, or the command's own default if none was set."""
+    if ns.precision is None:
         return default
-    return check_precision(_as_int("precision", value))
+    return check_precision(_as_int("precision", ns.precision))
 
 
-def _resolve_nodes(ns, conf) -> int:
-    nodes = _as_int("nodes", _resolve(ns, conf, "nodes", 512))
+def _nodes(ns) -> int:
+    nodes = _as_int("nodes", ns.nodes)
     check_node_count(nodes)
     return nodes
 
 
-def _level_inputs(ns, conf):
+def _level_inputs(ns):
     """(r, nodes, precision) for the commands that discretize Gamma_r."""
-    r_text = _resolve(ns, conf, "r")
-    if r_text is None:
+    if ns.r is None:
         raise ConfigurationError(f"{ns.command} requires --r")
-    precision = _resolve_precision(ns, conf)
-    nodes = _resolve_nodes(ns, conf)
-    return _as_mpf("r", r_text, precision), nodes, precision
+    precision = _precision(ns, 192)
+    nodes = _nodes(ns)
+    return _as_mpf("r", ns.r, precision), nodes, precision
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +415,8 @@ def run_suite(suite: str, r, M: int, precision_bits: int, count: int, grid: int)
 # subcommand handlers
 
 
-def cmd_zeros(ns, conf) -> int:
-    n = _as_int("n", _resolve(ns, conf, "n"))
-    alpha_text = _resolve(ns, conf, "alpha")
+def cmd_zeros(ns) -> int:
+    n, alpha_text = _as_int("n", ns.n), ns.alpha
     if n is None or alpha_text is None:
         raise ConfigurationError("zeros requires --n and --alpha")
     # Parse alpha with every significant digit resolved, so that a literal
@@ -406,86 +425,72 @@ def cmd_zeros(ns, conf) -> int:
     digits = sum(ch.isdigit() for ch in mantissa)
     bits = max(320, math.ceil(digits * math.log2(10)) + 64)
     exact = _as_mpf("alpha", alpha_text, bits)
-    precision = _resolve_precision(ns, conf, default=None)
-    if precision is None:
-        precision = recommended_precision(n, exact)
+    precision = _precision(ns, None) or recommended_precision(n, exact)
     alpha = _as_mpf("alpha", alpha_text, precision)
     if alpha != exact and mp.isint(alpha) and -n <= alpha <= -1:
         raise ConfigurationError(
             f"alpha = {alpha_text} rounds onto S_{n} at {precision} bits; "
             "raise --precision or omit it"
         )
-    tol_text = _resolve(ns, conf, "tol")
-    tol = None if tol_text is None else _as_mpf("tol", tol_text, precision)
+    tol = None if ns.tol is None else _as_mpf("tol", ns.tol, precision)
     zs = contracted_zeros(n, alpha, precision, tol)
     rows = ((z.real, z.imag, res) for z, res in zip(zs.zeros, zs.residuals))
-    out = _resolve(ns, conf, "out")
     _emit(
         csv_table("re,im,residual", rows, precision),
-        out,
-        f"wrote {len(zs.zeros)} zeros to {out} (origin multiplicity "
+        ns.out,
+        f"wrote {len(zs.zeros)} zeros to {ns.out} (origin multiplicity "
         f"{zs.origin_multiplicity})",
     )
     return 0
 
 
-def cmd_curve(ns, conf) -> int:
-    r, nodes, precision = _level_inputs(ns, conf)
+def cmd_curve(ns) -> int:
+    r, nodes, precision = _level_inputs(ns)
     curve = trace_level_curve(r, nodes, precision)
     rows = ((theta, z.real, z.imag) for theta, z in curve.samples)
-    out = _resolve(ns, conf, "out")
     _emit(
         csv_table("theta,re,im", rows, precision),
-        out,
-        f"wrote {len(curve.samples)} nodes to {out} (max residual "
+        ns.out,
+        f"wrote {len(curve.samples)} nodes to {ns.out} (max residual "
         f"{mp.nstr(curve.max_residual, 4)})",
     )
     return 0
 
 
-def cmd_measure(ns, conf) -> int:
-    r, nodes, precision = _level_inputs(ns, conf)
+def cmd_measure(ns) -> int:
+    r, nodes, precision = _level_inputs(ns)
     mu = discretize_mu_r(r, nodes, precision)
     rows = ((x.real, x.imag, w) for x, w in zip(mu.points, mu.weights))
-    out = _resolve(ns, conf, "out")
     _emit(
         csv_table("re,im,weight", rows, precision),
-        out,
-        f"wrote {len(mu.points)} support points to {out}",
+        ns.out,
+        f"wrote {len(mu.points)} support points to {ns.out}",
     )
     return 0
 
 
-def cmd_potential(ns, conf) -> int:
-    r, nodes, prec = _level_inputs(ns, conf)
-    at_values = getattr(ns, "at", None) or []
-    if not at_values and conf.get("at") is not None:
-        at_values = [conf["at"]]
-    if not at_values:
-        at_values = ["0"]
-    points = [_as_mpc("at", text, prec) for text in at_values]
+def cmd_potential(ns) -> int:
+    r, nodes, prec = _level_inputs(ns)
+    points = [_as_mpc("at", text, prec) for text in ns.at]
     mu = discretize_mu_r(r, nodes, prec)
     rows = [(p.real, p.imag, log_potential(mu, p, prec)) for p in points]
-    out = _resolve(ns, conf, "out")
     _emit(
         csv_table("re,im,potential", rows, prec),
-        out,
-        f"wrote {len(points)} evaluations to {out}",
+        ns.out,
+        f"wrote {len(points)} evaluations to {ns.out}",
     )
     return 0
 
 
-def cmd_verify(ns, conf) -> int:
-    suite = _resolve(ns, conf, "suite")
-    if suite is None:
+def cmd_verify(ns) -> int:
+    if ns.suite is None:
         raise ConfigurationError("verify requires --suite")
-    default_prec = 256 if suite == "laguerre-identities" else 192
-    precision = _resolve_precision(ns, conf, default=default_prec)
-    count = _as_int("count", _resolve(ns, conf, "count", 128))
-    grid = _as_int("grid", _resolve(ns, conf, "grid", 16 * count))
-    nodes = _resolve_nodes(ns, conf)
-    r = _as_mpf("r", _resolve(ns, conf, "r", "1"), precision)
-    checks = run_suite(suite, r, nodes, precision, count, grid)
+    precision = _precision(ns, 256 if ns.suite == "laguerre-identities" else 192)
+    count = _as_int("count", ns.count)
+    grid = _as_int("grid", 16 * count if ns.grid is None else ns.grid)
+    nodes = _nodes(ns)
+    r = _as_mpf("r", "1" if ns.r is None else ns.r, precision)
+    checks = run_suite(ns.suite, r, nodes, precision, count, grid)
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
     failed = sum(1 for c in checks if not c.passed)
@@ -493,64 +498,52 @@ def cmd_verify(ns, conf) -> int:
     return 0 if failed == 0 else 1
 
 
-def cmd_leja(ns, conf) -> int:
-    r_text = _resolve(ns, conf, "r")
-    if r_text is None:
+def cmd_leja(ns) -> int:
+    if ns.r is None:
         raise ConfigurationError("leja requires --r")
-    precision = _resolve_precision(ns, conf, default=128)
-    count = _as_int("count", _resolve(ns, conf, "count", 128))
-    grid = _as_int("grid", _resolve(ns, conf, "grid", 16 * count))
-    r = _as_mpf("r", r_text, precision)
+    precision = _precision(ns, 128)
+    count = _as_int("count", ns.count)
+    grid = _as_int("grid", 16 * count if ns.grid is None else ns.grid)
+    r = _as_mpf("r", ns.r, precision)
     result = weighted_leja(r, count, grid, precision)
     target, rel = result.robin_gap(r, precision)
     print(
         f"robin estimate = {format_real(result.robin_estimate, precision)} "
         f"(target {format_real(target, precision)}, relative gap {mp.nstr(rel, 4)})"
     )
-    out = _resolve(ns, conf, "out")
-    if out is not None:
+    if ns.out is not None:
         mu = result.measure
         rows = ((x.real, x.imag, w) for x, w in zip(mu.points, mu.weights))
-        write_text_atomic(out, csv_table("re,im,weight", rows, precision))
-        print(f"wrote {count} Leja points to {out}")
+        write_text_atomic(ns.out, csv_table("re,im,weight", rows, precision))
+        print(f"wrote {count} Leja points to {ns.out}")
     return 0
 
 
-def cmd_experiment(ns, conf) -> int:
-    fig = _resolve(ns, conf, "fig")
-    schedule = _resolve(ns, conf, "schedule")
-    if (fig is None) == (schedule is None):
+def cmd_experiment(ns) -> int:
+    if (ns.fig is None) == (ns.schedule is None):
         raise ConfigurationError("experiment requires exactly one of --fig, --schedule")
-    nodes = _resolve_nodes(ns, conf)
-    out_dir = Path(_resolve(ns, conf, "out-dir", "."))
+    nodes = _nodes(ns)
 
-    if fig is not None:
-        fig = _as_int("fig", fig)
+    if ns.fig is not None:
+        fig = _as_int("fig", ns.fig)
         if fig not in (2, 3):
             raise ConfigurationError(f"--fig must be 2 or 3, got {fig}")
-        precision = _resolve_precision(ns, conf, default=512)
+        precision = _precision(ns, 512)
         n = 60
         alpha = ap_real("-60.1" if fig == 2 else "-59.99999", precision)
         label = f"fig{fig}"
     else:
-        if schedule not in ("generic", "exponential", "superexponential"):
-            raise ConfigurationError(f"unknown schedule {schedule!r}")
-        n = _as_int("n", _resolve(ns, conf, "n"))
+        n = _as_int("n", ns.n)
         if n is None:
             raise ConfigurationError("experiment --schedule requires --n")
-        kwargs = {}
-        c_text = _resolve(ns, conf, "c")
-        rate_text = _resolve(ns, conf, "rate")
-        if c_text is not None:
-            kwargs["c"] = _as_mpf("c", c_text, 192)
-        if rate_text is not None:
-            kwargs["r"] = _as_mpf("rate", rate_text, 192)
-        sched = make_schedule(schedule, **kwargs)
-        precision = _resolve_precision(ns, conf, default=None)
-        if precision is None:
-            precision = sched.precision_bits(n)
+        sched = make_schedule(
+            ns.schedule,
+            c=None if ns.c is None else _as_mpf("c", ns.c, 192),
+            r=None if ns.rate is None else _as_mpf("rate", ns.rate, 192),
+        )
+        precision = _precision(ns, None) or sched.precision_bits(n)
         alpha = sched.alpha_at(n)
-        label = f"{schedule}_n{n}"
+        label = f"{ns.schedule}_n{n}"
 
     report = zero_distribution_report(n, alpha, M_curve=nodes, precision_bits=precision)
     median = level_median(report.zeros, precision)
@@ -564,7 +557,7 @@ def cmd_experiment(ns, conf) -> int:
         (f"{label}_report.json", report_json(report, precision)),
     )
     for name, text in outputs:
-        path = out_dir / name
+        path = Path(ns.out_dir) / name
         write_text_atomic(path, text)
         print(f"wrote {path}")
     print(f"r_eff = {format_real(report.r_eff, precision)}")
@@ -572,14 +565,22 @@ def cmd_experiment(ns, conf) -> int:
     return 0
 
 
-_HANDLERS = {
-    "zeros": cmd_zeros,
-    "curve": cmd_curve,
-    "measure": cmd_measure,
-    "potential": cmd_potential,
-    "verify": cmd_verify,
-    "leja": cmd_leja,
-    "experiment": cmd_experiment,
+# command: (help, handler, its own options); every command also takes
+# --precision and --config
+_COMMANDS = {
+    "zeros": ("contracted zeros of L_n^(alpha)(n z)", cmd_zeros,
+              ("n", "alpha", "tol", "out")),
+    "curve": ("trace the level curve Gamma_r", cmd_curve, ("r", "nodes", "out")),
+    "measure": ("discretize the balayage measure mu_r", cmd_measure,
+                ("r", "nodes", "out")),
+    "potential": ("logarithmic potential of mu_r", cmd_potential,
+                  ("r", "nodes", "at", "out")),
+    "verify": ("run a verification suite", cmd_verify,
+               ("suite", "r", "nodes", "count", "grid")),
+    "leja": ("weighted Leja points on Gamma_r", cmd_leja,
+             ("r", "count", "grid", "out")),
+    "experiment": ("figure reproductions and schedule runs", cmd_experiment,
+                   ("fig", "schedule", "n", "c", "rate", "nodes", "out-dir")),
 }
 
 
@@ -597,72 +598,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def common(p):
-        p.add_argument(
-            "--precision",
-            help=f"working precision in bits, >= 64 (env {ENV_PRECISION})",
-        )
-        p.add_argument(
-            "--config",
-            help="flat key=value file supplying defaults for any flag",
-        )
-
-    p = sub.add_parser("zeros", help="contracted zeros of L_n^(alpha)(n z)")
-    p.add_argument("--n", help="polynomial degree")
-    p.add_argument("--alpha", help="Laguerre parameter (decimal string)")
-    p.add_argument("--tol", help="root residual tolerance")
-    p.add_argument("--out", help="output CSV path (default: stdout)")
-    common(p)
-
-    p = sub.add_parser("curve", help="trace the level curve Gamma_r")
-    p.add_argument("--r", help="level, r >= 0")
-    p.add_argument("--nodes", help="node count M, even and >= 16 (default 512)")
-    p.add_argument("--out", help="output CSV path (default: stdout)")
-    common(p)
-
-    p = sub.add_parser("measure", help="discretize the balayage measure mu_r")
-    p.add_argument("--r", help="level, r >= 0, or inf for the point mass at 0")
-    p.add_argument("--nodes", help="node count M, even and >= 16 (default 512)")
-    p.add_argument("--out", help="output CSV path (default: stdout)")
-    common(p)
-
-    p = sub.add_parser("potential", help="logarithmic potential of mu_r")
-    p.add_argument("--r", help="level, r >= 0")
-    p.add_argument("--nodes", help="node count M, even and >= 16 (default 512)")
-    p.add_argument(
-        "--at",
-        action="append",
-        help="evaluation point, e.g. 2, -0.3, or 0.1+0.2j (repeatable)",
-    )
-    p.add_argument("--out", help="output CSV path (default: stdout)")
-    common(p)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=SUITES, help="suite name")
-    p.add_argument("--r", help="level for the measure suites (default 1)")
-    p.add_argument("--nodes", help="node count M (default 512)")
-    p.add_argument("--count", help="Leja point count for the robin suite")
-    p.add_argument("--grid", help="Leja candidate grid size (default 16*count)")
-    common(p)
-
-    p = sub.add_parser("leja", help="weighted Leja points on Gamma_r")
-    p.add_argument("--r", help="level, r >= 0")
-    p.add_argument("--count", help="number of Leja points (default 128)")
-    p.add_argument("--grid", help="candidate grid size (default 16*count)")
-    p.add_argument("--out", help="output CSV path")
-    common(p)
-
-    p = sub.add_parser("experiment", help="figure reproductions and schedule runs")
-    p.add_argument("--fig", help="figure number: 2 or 3")
-    p.add_argument("--schedule", help="generic | exponential | superexponential")
-    p.add_argument("--n", help="degree for schedule runs")
-    p.add_argument("--c", help="offset for the generic schedule, 0 < c <= 1/2")
-    p.add_argument("--rate", help="rate for the exponential schedule, >= 0")
-    p.add_argument("--nodes", help="overlay curve nodes (default 512)")
-    p.add_argument("--out-dir", help="output directory (default .)")
-    common(p)
-
+    for command, (help_text, _, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in (*names, "precision", "config"):
+            opt = _OPTIONS[name]
+            default = "" if opt.default is None else f" (default {opt.default})"
+            p.add_argument(
+                f"--{name}",
+                help=opt.help + default,
+                choices=opt.choices,
+                action="append" if opt.repeat else "store",
+            )
     return parser
 
 
@@ -677,8 +623,17 @@ def dispatch(argv) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        conf = _load_config(ns.config) if getattr(ns, "config", None) else {}
-        return _HANDLERS[ns.command](ns, conf)
+        conf = _load_config(ns.config) if ns.config else {}
+        _, handler, names = _COMMANDS[ns.command]
+        for name in (*names, "precision"):
+            opt = _OPTIONS[name]
+            dest = name.replace("-", "_")
+            if getattr(ns, dest) is None:
+                env = os.environ.get(ENV_PRECISION) if name == "precision" else None
+                value = conf.get(name, env)
+                value = opt.default if value is None else value
+                setattr(ns, dest, [value] if opt.repeat else value)
+        return handler(ns)
     except ConfigurationError as exc:
         print(f"szegolab: usage error: {exc}", file=sys.stderr)
         return 2

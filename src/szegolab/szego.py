@@ -97,20 +97,19 @@ def _check_r(r) -> mpf:
 
 
 def real_crossings(r, precision_bits: int = DEFAULT_TRACE_PRECISION):
-    """Real-axis crossings of Gamma_r, by Lambert W.
+    """Real-axis crossings of Gamma_r, by _w0 like every other curve node.
 
     x0 in (0, 1] solves x e^(1-x) = e^(-r), so x0 = -W_0(-e^(-1-r));
     x_neg in (-1, 0) solves |x| e^(1-x) = e^(-r), so x_neg = -W_0(e^(-1-r)).
-    Where -e^(-1-r) rounds onto the branch point -1/e (r = 0, or r below
-    the working precision), lambertw returns a complex value near -1; x0
-    is then the corner 1.
+    Where -e^(-1-r) rounds onto or below the branch point -1/e (r = 0, or r
+    below the working precision), W_0 there is not real; x0 is then the
+    corner 1.
     """
     r = _check_r(r)
     with workprec(op_precision(precision_bits, r) + 16):
-        x0 = -mp.lambertw(-mp.e ** (-1 - r))
-        if r == 0 or isinstance(x0, mpc):
-            x0 = mpf(1)
-        return x0, -mp.lambertw(mp.e ** (-1 - r))
+        w = _w0(-mp.e ** (-1 - r))
+        x0 = mpf(1) if r == 0 or w.imag else -w.real
+        return x0, -_w0(mp.e ** (-1 - r)).real
 
 
 def check_node_count(M) -> None:

@@ -286,3 +286,86 @@ def test_report_json_key_order():
         "origin_gap",
     ]
     assert payload["n"] == 3
+
+
+# ---------------------------------------------------------------------------
+# option sources: flag > config file > environment > default
+
+
+def _curve_bytes(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main(["curve", "--r", "1", "--nodes", "16", "--out", str(out)] + argv) == 0
+    return out.read_bytes()
+
+
+def test_config_precision_beats_env_and_flag_beats_both(tmp_path, monkeypatch):
+    ref = {bits: _curve_bytes(tmp_path, f"ref{bits}.csv", ["--precision", str(bits)])
+           for bits in (64, 128, 256)}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("precision = 128\n")
+    monkeypatch.setenv(ENV_PRECISION, "64")
+    assert _curve_bytes(tmp_path, "env.csv", []) == ref[64]
+    assert _curve_bytes(tmp_path, "cfg.csv", ["--config", str(cfg)]) == ref[128]
+    assert _curve_bytes(tmp_path, "flag.csv", ["--config", str(cfg),
+                                               "--precision", "256"]) == ref[256]
+
+
+def test_potential_config_at_and_flag_replacement(tmp_path, capsys):
+    base = ["potential", "--r", "1", "--nodes", "32", "--precision", "128"]
+
+    def run(*extra):
+        assert main(base + list(extra)) == 0
+        return capsys.readouterr().out
+
+    at2, at3, at0 = run("--at", "2"), run("--at", "3"), run()
+    assert len({at2, at3, at0}) == 3
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("at = 2\n")
+    assert run("--config", str(cfg)) == at2
+    # --at replaces the config value, it does not add to it
+    assert run("--config", str(cfg), "--at", "3") == at3
+
+
+def test_config_keys_a_command_does_not_take_are_ignored(tmp_path):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("r = 0.5\nnodes = 16\nprecision = 128\n"
+                   "at = 2\ncount = 8\nsuite = robin\n")
+    for command in ("curve", "measure"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 17
+
+
+def test_verify_takes_suite_and_r_from_config(tmp_path, capsys):
+    flags = ["--nodes", "64", "--precision", "192"]
+    assert main(["verify", "--suite", "lemma1", "--r", "0"] + flags) == 1
+    at_r0 = capsys.readouterr().out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite = lemma1\nr = 0\n")
+    assert main(["verify", "--config", str(cfg)] + flags) == 1
+    assert capsys.readouterr().out == at_r0
+    # argparse choices never see a config value; the suite runner rejects it
+    cfg.write_text("suite = nonsense\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown suite 'nonsense'" in captured.err
+
+
+FLAGS = {
+    "zeros": "--n --alpha --tol --out",
+    "curve": "--r --nodes --out",
+    "measure": "--r --nodes --out",
+    "potential": "--r --nodes --at --out",
+    "verify": "--suite --r --nodes --count --grid",
+    "leja": "--r --count --grid --out",
+    "experiment": "--fig --schedule --n --c --rate --nodes --out-dir",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_subcommand_flag_set(command, capsys):
+    assert main([command, "--help"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.lstrip().startswith("--")]
+    assert listed == FLAGS[command].split() + ["--precision", "--config"]

@@ -1,5 +1,7 @@
 """Level curves, crossings, and region classification."""
 
+import random
+
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -64,6 +66,32 @@ def test_real_crossings_below_working_precision():
     # -e^(-1-r) rounds onto the branch point -1/e, where lambertw is complex.
     x0, _ = real_crossings(mpf("1e-70"), PREC)
     assert isinstance(x0, mpf) and 0 < x0 <= 1
+
+
+@pytest.mark.parametrize("bits", [64, 128, 192, 256, 512, 1238])
+def test_real_crossings_match_lambertw(bits):
+    # The crossings run _w0 and must give mpmath's lambertw bits, read at the
+    # same working precision p = bits + 16.  The one exception is x0 where
+    # -e^(-1-r) lies within 2^-bits of the branch point -1/e: there W_0 has
+    # slope ~ 1/sqrt(2 (e x + 1)), so rounding the argument to p bits already
+    # moves x0 by up to ~2^-(p/2), and the two iterations may differ by that
+    # much (7e-23 at r = 1e-70, 128 bits).
+    rng = random.Random(2010)
+    levels = ["0", "1e-70", "1e-12", "0.001", "0.1919", "0.5", "1", "3", "22",
+              "60", "200", "800"] + [f"{rng.uniform(0, 2):.6f}" for _ in range(40)]
+    for r_text in levels:
+        with workprec(bits):
+            r = mpf(r_text)
+        with workprec(op_precision(bits, r) + 16):
+            ref0 = -mp.lambertw(-mp.e ** (-1 - r))
+            ref0 = mpf(1) if r == 0 or isinstance(ref0, mpc) else ref0
+            ref_neg = -mp.lambertw(mp.e ** (-1 - r))
+        x0, x_neg = real_crossings(r, bits)
+        assert isinstance(x0, mpf) and isinstance(x_neg, mpf)
+        assert x_neg == ref_neg, r_text
+        assert x0 == ref0 or (
+            r < mpf(2) ** -bits and abs(x0 - ref0) <= mpf(2) ** -((bits + 16) // 2)
+        ), r_text
 
 
 def test_real_crossings_rejects_negative():
