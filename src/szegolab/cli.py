@@ -99,11 +99,14 @@ def _load_config(path) -> dict:
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        if not sep or not key.strip():
+        key = key.strip()
+        if not sep or not key:
             raise ConfigurationError(
                 f"{path}:{lineno}: expected key=value, got {line!r}"
             )
-        values[key.strip()] = value.strip()
+        if key not in _OPTIONS:
+            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 

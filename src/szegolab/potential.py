@@ -25,9 +25,12 @@ omega^(2k) prod |z - z_j|^2 per grid node as an mpf product and takes a
 single log at the end.  It picks each greedy point through a
 double-precision shadow of the products' logs, whose running rounding-error
 bound, derived in the standard model, certifies which few nodes can win the
-step.  Only their products are brought up to date, lazily and in the order
-of an update of every node, so the points and the estimate are those of the
-full greedy rule to the last bit.
+step.  The shadow reads the grid as doubles with certified radii
+(szego._shadow_half), so the grid is never traced: a node is evaluated at
+full precision only once it can win.  Only the candidates' products are
+brought up to date, lazily and in the order of an update of every node, so
+the points and the estimate are those of the full greedy rule to the last
+bit.
 """
 
 from __future__ import annotations
@@ -47,12 +50,18 @@ from .measures import (
 )
 from .precision import op_precision, workprec
 from .szego import (
+    _SHADOW_U,
     DEFAULT_TRACE_PRECISION,
     LevelCurve,
     RegionTag,
+    _check_r,
+    _half_node,
     _mirrored_curve,
+    _shadow_half,
+    _theta,
     check_node_count,
     locate,
+    real_crossings,
     trace_level_curve,
 )
 
@@ -149,7 +158,7 @@ def graded_mu_r(
     r = mpf(r) if not isinstance(r, mpf) else r
     check_node_count(M)
     with workprec(op_precision(precision_bits, r) + 16):
-        grid = [2 * mp.pi * j / M for j in range(M)]
+        grid = [_theta(j, M) for j in range(M)]
         thetas = tuple(s - mp.sin(s) for s in grid)
         half = [(1 - mp.cos(s)) / M for s in grid[: M // 2 + 1]]
         weights = tuple(half + half[-2:0:-1])
@@ -319,52 +328,44 @@ class LejaResult:
 
 # weighted_leja's double shadow.  After k greedy steps the exact objective of
 # grid node g_i is the mpf S_i = omega2_i^(k+1) prod_(j<k) |g_i - z_j|^2; its
-# shadow is F_i = lw_i + sum_(j<k) (lw_i + log(dx^2 + dy^2)).  lw_i is the
-# double of the exponent L_i = -2 phi_ext(g_i) whose mp.exp is omega2_i, and
-# dx, dy are doubles of (g_i - z_j)/c with c = 2^e >= every |Re g|, |Im g|, so
-# no coordinate underflows where the curve is small (its radius is about
-# e^(-1-r)).  F_i approximates ln S_i - 2 k ln c, the same shift for every
-# node, within E_i.  In the standard model (Higham, Accuracy and Stability of
-# Numerical Algorithms, 2002, sec. 2.2), with u = 2^-53, rounding to nearest
-# and P >= 80 mp bits, term j of node i errs by at most u times
-#   2.001 rho_hat   the coordinates: float() rounds each to nearest, so the
-#                   difference vector moves by at most u (|g_i| + |z_j|)/c
-#                   (Minkowski) and its squared norm by a factor within
-#                   (1 -+ u rho)^2, rho = (|g_i| + |z_j|)/|g_i - z_j|; for
-#                   the computed rho_hat <= _SHADOW_RATIO, u rho < 2^-12 and
-#                   rho <= 1.0002 rho_hat;
+# shadow is F_i = lw_i + sum_(j<k) (lw_i + log(dx^2 + dy^2)).  The grid is
+# never traced: szego._shadow_half gives each node as a double of g_i / 2^s
+# (2^s about the curve's radius, so no coordinate underflows however small
+# the curve is) within a certified radius R_i, and dx, dy are differences of
+# these doubles.  lw_i = -(log|g_i / 2^s| + Re g_i), from the same doubles,
+# is within dlw_i of L_i + s ln 2, where L_i = -2 phi_ext(g_i) is the
+# exponent whose mp.exp is omega2_i: |log| and |Re| move by at most
+# R_i / (|g_i / 2^s| - R_i) and 2^s R_i, and abs, the faithful log and the
+# sum round by u (2 |log| + |lw_i| + 2.001).  The scaled squared distances
+# are the true ones times 2^(-2s), so F_i approximates ln S_i plus
+# (k + 1) s ln 2 - 2 k s ln 2, the same shift for every live node, within
+# E_i.  In the standard model (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, sec. 2.2), with u = 2^-53, rounding to nearest and
+# P >= 80 mp bits, term j of node i errs by at most
+#   2.001 t         the nodes: the difference vector lies within
+#                   R_i + R_j of the doubles' one, so its squared norm moves
+#                   by a factor within (1 -+ t)^2, t = (R_i + R_j) / |d|; for
+#                   the computed t_hat <= _SHADOW_MOVE, t <= 1.0001 t_hat;
+#   dlw_i           lw_i, against L_i + s ln 2;
+# and u times
 #   4.001           the two subtractions, the two squares and their sum;
-#   2.001 |l|       l = log(dx^2 + dy^2), faithfully rounded;
-#   1.001 |lw_i|    lw_i, rounded to nearest from L_i;
-#   1.001 |lw_i + l|, 1.001 |f|   the sums t = lw_i + l and f = F_i + t;
+#   2.001 |l|       l = log(dx^2 + dy^2), faithfully rounded like every libm
+#                   result here (szego states the same of exp, cos and sin);
+#   1.001 |lw_i + l|, 1.001 |f|   the sums lw_i + l and f = F_i + lw_i + l;
 # plus less than 2^-69 in all for the mpf roundings of S_i (six of 2^-P per
 # step) and of omega2_i (2^(1-P)), and for subnormal coordinates or squares
 # once dx^2 + dy^2 > _SHADOW_TINY.  Per term E_i adds
-# u (3 rho_hat + 4 |l| + 3 |lw_i| + 3 |f| + 5), which rounds these up; the
-# surplus, over u (|f| + 1), also covers the rounding of F_i +- E_i in the
-# candidate test and of E_i's own sum.  The start F_i = lw_i errs by at most
-# 1.001 u |lw_i| + 2^(2-P), which u (3 |lw_i| + 2) covers in the same way.
+# 3 t + dlw_i + u (4 |l| + 3 |lw_i| + 3 |f| + 5), which rounds these up;
+# the surplus, over u (|f| + 1), also covers the rounding of F_i +- E_i in
+# the candidate test and of E_i's own sum.  The start F_i = lw_i errs by at
+# most dlw_i + 2^(2-P), which dlw_i + u (3 |lw_i| + 2) covers in the same
+# way.  A node whose radius is not certified gets lw_i = 0 and E_i = inf.
 
-# Unit roundoff of IEEE double.  Every term of the shadow's error bound is a
-# multiple of it, so setting it to inf makes every node a candidate.
-_SHADOW_U = 2.0**-53
-# A term with rho_hat above _SHADOW_RATIO, or with a squared distance at or
+# A term with t_hat above _SHADOW_MOVE, or with a squared distance at or
 # below _SHADOW_TINY (toward the subnormal range), is not bounded: its node
 # gets E_i = inf and stays a candidate.
-_SHADOW_RATIO = 2.0**40
+_SHADOW_MOVE = 2.0**-13
 _SHADOW_TINY = 2.0**-1000
-
-
-def _scaled_doubles(points) -> tuple:
-    """Doubles of Re z / 2^e and Im z / 2^e, with 2^e >= every |Re z|, |Im z|.
-
-    Division by a power of two is exact in mpf, so each double is the one
-    nearest to its scaled coordinate.
-    """
-    e = max(mp.mag(x) for z in points for x in (z.real, z.imag) if x)
-    xs = [float(mp.ldexp(z.real, -e)) for z in points]
-    ys = [float(mp.ldexp(z.imag, -e)) for z in points]
-    return xs, ys
 
 
 def _candidates(live, F, E) -> list:
@@ -377,71 +378,106 @@ def _candidates(live, F, E) -> list:
     return [i for i in live if F[i] + E[i] >= lo]
 
 
-def _shadow_step(c, live, xs, ys, rad, lw, F, E) -> None:
+def _shadow_step(c, live, xs, ys, rad, lw, dlw, F, E) -> None:
     """Add the factor omega2_i |g_i - g_c|^2 to every live node's shadow."""
     zx, zy, zr = xs[c], ys[c], rad[c]
     for i in live:
         dx = xs[i] - zx
         dy = ys[i] - zy
         d2 = dx * dx + dy * dy
-        rho = (rad[i] + zr) / math.sqrt(d2) if d2 > _SHADOW_TINY else math.inf
-        if rho > _SHADOW_RATIO:
+        t = (rad[i] + zr) / math.sqrt(d2) if d2 > _SHADOW_TINY else math.inf
+        if not t <= _SHADOW_MOVE:
             E[i] = math.inf
             continue
         lg = math.log(d2)
         w = lw[i]
         f = F[i] + (w + lg)
         F[i] = f
-        E[i] += _SHADOW_U * (3 * rho + 4 * abs(lg) + 3 * abs(w) + 3 * abs(f) + 5)
+        E[i] += 3 * t + dlw[i] + _SHADOW_U * (
+            4 * abs(lg) + 3 * abs(w) + 3 * abs(f) + 5
+        )
+
+
+def _field_shadow(zs, rads, s) -> tuple:
+    """(lw, dlw): doubles of L_i + s ln 2 and their bounds, derived above."""
+    lw, dlw = [], []
+    for z, rad in zip(zs, rads):
+        m = abs(z)
+        if not rad < m:
+            lw.append(0.0)
+            dlw.append(math.inf)
+            continue
+        lm = math.log(m)
+        w = -(lm + math.ldexp(z.real, s))
+        lw.append(w)
+        dlw.append(
+            rad / (m - rad)
+            + math.ldexp(rad, s)
+            + _SHADOW_U * (3 * abs(lm) + 2 * abs(w) + 3)
+        )
+    return lw, dlw
 
 
 def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResult:
     """Greedy weighted Leja points on Gamma_r.
 
-    z_k maximizes omega(z)^k prod_{j<k} |z - z_j| over the traced grid
-    (k = 1..N), the first maximal node on ties; t_hat_N = max_z omega(z)^N
-    prod_{j<=N} |z - z_j| estimates the weighted Chebyshev constant, so
-    -log(t_hat_N)/N approximates the modified Robin constant (r+1)/2
-    (Reichel, BIT 30, 1990).  The squared objective of node i is an mpf
-    product S_i, and a double shadow F_i ~ ln S_i with a running error bound
-    E_i (derived above _SHADOW_U) picks the nodes that can win: only those
-    with F_i + E_i >= max_j (F_j - E_j).  Their S_i are brought up to date
-    lazily, by the same mpf operations in the same order as an update of
-    every node at every step, so points, sup_norm and robin_estimate are
-    those of that eager rule to the last bit; about one node per step is
-    updated instead of grid_M.  The final max over S_i / omega2_i is taken
-    the same way.
+    z_k maximizes omega(z)^k prod_{j<k} |z - z_j| over the nodes of
+    trace_level_curve(r, grid_M) (k = 1..N), the first maximal node on ties;
+    t_hat_N = max_z omega(z)^N prod_{j<=N} |z - z_j| estimates the weighted
+    Chebyshev constant, so -log(t_hat_N)/N approximates the modified Robin
+    constant (r+1)/2 (Reichel, BIT 30, 1990).  The squared objective of node
+    i is an mpf product S_i, and a double shadow F_i ~ ln S_i with a running
+    error bound E_i (derived above _SHADOW_MOVE) picks the nodes that can
+    win: only those with F_i + E_i >= max_j (F_j - E_j).  The shadow is built
+    from double nodes with certified radii (szego._shadow_half), so the grid
+    is never traced: a node and its omega2_i are evaluated at full precision
+    only when it first becomes a candidate, by the same mpf operations as
+    trace_level_curve's.  Its S_i is brought up to date lazily, by the same
+    mpf operations in the same order as an update of every node at every
+    step, so points, sup_norm and robin_estimate are those of that eager
+    rule to the last bit.  About one node per step is updated instead of
+    grid_M, and about one node in eight is ever evaluated.  The final max
+    over S_i / omega2_i is taken the same way.
     """
     if N < 1:
         raise InvalidParameter(f"need N >= 1, got {N}")
     if grid_M < 8 * N:
         raise InvalidParameter(f"need grid_M >= 8 N = {8 * N}, got {grid_M}")
-    r = mpf(r) if not isinstance(r, mpf) else r
-    curve = trace_level_curve(r, grid_M, precision_bits)
-    grid = curve.points
+    check_node_count(grid_M)
+    r = _check_r(r)
     prec = op_precision(precision_bits, r)
     with workprec(prec + 16):
-        # omega2 = e^L, L = -2 phi_ext; |conj g| and Re g are exact, so the
-        # mirrored half of the grid repeats nodes 1 .. M/2 - 1 to the last bit.
-        half = [
-            -2 * DEFAULT_FIELD.phi(g, precision_bits) for g in grid[: grid_M // 2 + 1]
-        ]
-        w_half = [mp.exp(x) for x in half]
-        omega2 = w_half + w_half[-2:0:-1]
-        lw_half = [float(x) for x in half]
-        lw = lw_half + lw_half[-2:0:-1]
-        xs, ys = _scaled_doubles(grid)
-        rad = [abs(x) + abs(y) for x, y in zip(xs, ys)]
+        crossings = real_crossings(r, precision_bits)
+        scale, zs, rads = _shadow_half(r, grid_M, crossings, precision_bits)
+        zs += [z.conjugate() for z in reversed(zs[1:-1])]
+        rads += rads[-2:0:-1]
+        xs = [z.real for z in zs]
+        ys = [z.imag for z in zs]
+        lw, dlw = _field_shadow(zs, rads, scale)
         F = list(lw)
-        E = [_SHADOW_U * (3 * abs(w) + 2) for w in lw]
-        # S_i = omega(g_i)^(2k) prod_{j<k} |g_i - z_j|^2 after done[i] steps.
-        S = list(omega2)
+        E = [e + _SHADOW_U * (3 * abs(w) + 2) for e, w in zip(dlw, lw)]
+        # Node i and omega2_i once it is a candidate; S_i =
+        # omega(g_i)^(2k) prod_{j<k} |g_i - z_j|^2 after done[i] steps.
+        grid, omega2, S = [None] * grid_M, [None] * grid_M, [None] * grid_M
         done = [0] * grid_M
         live = list(range(grid_M))
         chosen = []
 
+        def load(i):
+            # omega2 = e^L, L = -2 phi_ext; |conj g| and Re g are exact, so
+            # node M - j repeats node j's omega2 to the last bit.
+            j = min(i, grid_M - i)
+            if grid[j] is None:
+                g = _half_node(r, j, grid_M, _theta(j, grid_M), crossings)
+                grid[j] = g
+                omega2[j] = S[j] = mp.exp(-2 * DEFAULT_FIELD.phi(g, precision_bits))
+            if grid[i] is None:
+                grid[i] = grid[j].conjugate()
+                omega2[i] = S[i] = omega2[j]
+
         def exact(i):
             # S_i after every chosen point, factors applied in the eager order
+            load(i)
             s, g, w = S[i], grid[i], omega2[i]
             for z in chosen[done[i] :]:
                 s = s * _sq_dist(g, z) * w
@@ -454,14 +490,14 @@ def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResu
             best_i = max(_candidates(live, F, E), key=exact)
             chosen.append(grid[best_i])
             live.remove(best_i)
-            _shadow_step(best_i, live, xs, ys, rad, lw, F, E)
+            _shadow_step(best_i, live, xs, ys, rads, lw, dlw, F, E)
         # t_hat_N^2 = max_i S_i / omega(g_i)^2 (S carries k = N + 1); chosen
         # nodes, with S_i = 0, are not live.  G_i = F_i - lw_i shadows
         # ln(S_i / omega2_i) within EG_i: E_i plus lw_i and the subtraction.
         G = [f - w for f, w in zip(F, lw)]
         EG = [
-            e + _SHADOW_U * (3 * abs(w) + 3 * abs(g) + 2)
-            for e, w, g in zip(E, lw, G)
+            e + d + _SHADOW_U * (3 * abs(w) + 3 * abs(g) + 2)
+            for e, d, w, g in zip(E, dlw, lw, G)
         ]
         best = max(exact(i) / omega2[i] for i in _candidates(live, G, EG))
         sup_norm = mp.sqrt(best)

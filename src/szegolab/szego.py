@@ -9,14 +9,20 @@ the closed form, nodes 0 and M/2 from real_crossings, and node M - j is
 the exact conjugate of node j.  At r = 0 the curve has a corner at z = 1,
 the branch point of W_0; node 0 from real_crossings is exactly 1 there.
 LevelCurve rejects nodes that are not mirrored, so callers may scan half
-of any curve.  trace_level_curve samples the equispaced theta_j = 2 pi j / M.
+of any curve.  trace_level_curve samples the equispaced theta_j = 2 pi j / M;
+_theta and _half_node build theta_j and node j one index at a time, so a
+caller that needs only some nodes gets each one to the last bit.
 _w0 evaluates W_0 by mpmath's Halley iteration and stop rule from a close
 seed: the double W_0(x), or the branch series where x is near -1/e.
+_shadow_half gives every equispaced node as a double, with a radius
+certified by Kantorovich's theorem to reach the full-precision node.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass
 
 from mpmath import fp, mp, mpc, mpf
@@ -164,6 +170,111 @@ def _curve_point(r, theta):
     return -_w0(-mp.e ** (-1 - r + 1j * theta))
 
 
+# The double shadow of the equispaced nodes.  Node j of trace_level_curve is
+# z_j = -W_0(x_j), x_j = -e^(-1-r+i theta_j); _shadow_half gives z_j / 2^k as
+# a double with a radius R_j >= |double - z_j / 2^k|, where 2^k <= e^(-1-r)
+# < 2^(k+1), so every double is of order 1 however small the curve is.  In
+# the standard model (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, sec. 2.2), with u = 2^-53 and rounding to nearest, and
+# with math.exp, math.cos, math.sin, math.log and abs() (hypot) faithfully
+# rounded, each below 2u relative error, as glibc's are:
+#   x_j / 2^k = -a e^(i theta_j) with a = e^(-1-r) / 2^k in [1, 2), which
+#   mp.exp gives at the ambient P >= 80 bits within (r + 3) 2^-P before
+#   float() rounds it by u; the closed-form node's own argument
+#   -mp.e ** (-1 - r + i theta_j) is within (r + 5) 2^(1-P) of the exact
+#   x_j, relatively.  theta_j = 2 pi j / M errs by 3.001 u theta_j (pi, the
+#   product, the division), cos and sin by 2 u, and the two products by u,
+#   so x_j / 2^k is within u (3.001 theta_j + 4.001) + (r + 5) 2^(2-P) of
+#   its double, relatively; u (4 theta_j + 5) + (r + 5) 2^(2-P) covers it.
+# _w0_double then bounds the root of v e^(2^k v) = x_j / 2^k by Kantorovich's
+# theorem, and the closed-form node, which meets mpmath's stop rule at
+# P >= 80 bits, is within 2^-77 |v| of that root: R_j adds u |v| for it.
+# Terms scaled by 2^k may underflow, each by at most 2^-1075, far below
+# every u-sized margin here.  Nodes 0 and M/2 are the crossings rounded to
+# nearest, within u |z| of them.
+
+# Unit roundoff of IEEE double.  Every term of a double shadow's error bound
+# is a multiple of it, so setting it to inf makes every bound infinite.
+_SHADOW_U = 2.0**-53
+
+
+def _ldexp(z, k):
+    # z 2^k, exact in each part unless it underflows.
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+
+def _w0_double(x, k, dx):
+    """W_0(2^k x) / 2^k in doubles, and a radius certified to reach it.
+
+    Returns (v, R) with |v - W_0(2^k y) / 2^k| <= R for every y within dx
+    of x.  v is fp.lambertw polished by one double Halley step on
+    f(v) = v e^(2^k v) - x, where f' = e^(2^k v) (1 + 2^k v) and
+    f'' = 2^k e^(2^k v) (2 + 2^k v).  Kantorovich's theorem for y: with
+    eta >= |f(v) / f'(v)| and L >= |f''| on the disc |w - v| <= 2 eta, a
+    root lies within 2 eta of v once |f'(v)|^-1 L eta <= 1/2.  The computed
+    e^(2^k v) errs by 5.001 u relative, the product v e^(2^k v) by 4 u |v e|
+    more, and the residual's subtraction and abs by 3.001 u |res|; y adds
+    dx; |f'(v)| is within 13 u of its double.  The factors 1 + 32 u and
+    1 + 8 u and the test 4 L eta <= |f'(v)| cover the rounding of eta, L and
+    the test.  The
+    disc is far smaller than the distance, about 2 |1 + w| near -1/e and
+    more elsewhere, to any other branch's root, so the root is W_0's, which
+    fp.lambertw seeds.  R is inf where the test fails.
+    """
+    v = _ldexp(complex(fp.lambertw(_ldexp(x, k))), -k)
+    sv = _ldexp(v, k)
+    e = cmath.exp(sv)
+    f = v * e - x
+    d = 1 + sv
+    v -= f / (e * d - (2 + sv) * _ldexp(f, k) / (2 * d))
+    sv = _ldexp(v, k)
+    ea = math.exp(sv.real)
+    e = complex(ea * math.cos(sv.imag), ea * math.sin(sv.imag))
+    res = abs(v * e - x)
+    d1 = abs(e * (1 + sv))
+    u = _SHADOW_U
+    eta = (1 + 32 * u) * (res + u * (4 * res + 10 * abs(v) * abs(e)) + dx) / d1
+    if not eta < 0.5:
+        return v, math.inf
+    lip = (1 + 8 * u) * math.ldexp(
+        math.exp(math.ldexp(v.real + 2 * eta, k))
+        * (abs(2 + sv) + math.ldexp(2 * eta, k)),
+        k,
+    )
+    if not 4 * lip * eta <= d1:
+        return v, math.inf
+    return v, 2 * eta
+
+
+def _shadow_half(r, M, crossings, precision_bits):
+    """Nodes 0 .. M/2 of trace_level_curve(r, M, precision_bits) as doubles.
+
+    Returns (k, zs, rads): zs[j] is a double of node_j / 2^k and
+    |zs[j] - node_j / 2^k| <= rads[j] (derived above _SHADOW_U), where
+    2^k <= e^(-1-r) < 2^(k+1) and crossings = real_crossings(r,
+    precision_bits).  Where r is too large for the bound, a radius is inf.
+    """
+    with workprec(op_precision(precision_bits, r) + 16):
+        mant, k = mp.frexp(mp.exp(-1 - r))
+        rel = math.ldexp(float(r) + 5, 2 - mp.prec)
+    k -= 1
+    a = float(2 * mant)
+    zs, rads = [], []
+    for j in range(M // 2 + 1):
+        if j in (0, M // 2):
+            z = complex(float(mp.ldexp(crossings[2 * j // M], -k)))
+            zs.append(z)
+            rads.append(_SHADOW_U * abs(z))
+            continue
+        theta = 2 * math.pi * j / M
+        x = complex(-a * math.cos(theta), -a * math.sin(theta))
+        dx = (_SHADOW_U * (4 * theta + 5) + rel) * abs(x)
+        v, rad = _w0_double(x, k, dx)
+        zs.append(-v)
+        rads.append(rad + _SHADOW_U * abs(v))
+    return k, zs, rads
+
+
 def curve_point(r, theta, precision_bits: int = DEFAULT_TRACE_PRECISION) -> mpc:
     """The point z of Gamma_r with phi(z) = e^(-r + i theta), in closed form.
 
@@ -179,29 +290,47 @@ def curve_point(r, theta, precision_bits: int = DEFAULT_TRACE_PRECISION) -> mpc:
         return _curve_point(r, theta)
 
 
+def _theta(j, M):
+    # theta_j = 2 pi j / M of trace_level_curve, at the ambient precision.
+    return 2 * mp.pi * j / M
+
+
+def _half_node(r, j, M, theta, crossings):
+    """Node j <= M/2 of a mirrored M-node curve, at the ambient precision.
+
+    Nodes 0 and M/2 are crossings = real_crossings(r, ...); node j between
+    them is the closed form at image angle theta.  At the precision
+    op_precision(precision_bits, r) + 16 and theta = _theta(j, M) it is node
+    j of trace_level_curve(r, M, precision_bits) to the last bit.
+    """
+    if j in (0, M // 2):
+        return mpc(crossings[2 * j // M])
+    return _curve_point(r, theta)
+
+
 def trace_level_curve(
     r, M: int, precision_bits: int = DEFAULT_TRACE_PRECISION
 ) -> LevelCurve:
     """Gamma_r at M equispaced image angles theta_j = 2 pi j / M."""
     check_node_count(M)
     with workprec(op_precision(precision_bits, r) + 16):
-        thetas = (mpf(0),) + tuple(2 * mp.pi * j / M for j in range(1, M))
+        thetas = tuple(_theta(j, M) for j in range(M))
     return _mirrored_curve(r, thetas, precision_bits)
 
 
 def _mirrored_curve(r, thetas, precision_bits) -> LevelCurve:
     """Gamma_r at M image angles with thetas[M - j] = 2 pi - thetas[j].
 
-    Nodes 0 and M/2 are the real crossings x0 and x_neg, nodes
-    1 .. M/2 - 1 come from the closed form, and node M - j is the exact
+    Nodes 0 .. M/2 come from _half_node, and node M - j is the exact
     conjugate of node j; max_residual is taken over nodes 0 .. M/2.
     """
     r = _check_r(r)
     m = len(thetas)
     with workprec(op_precision(precision_bits, r) + 16):
-        x0, x_neg = real_crossings(r, precision_bits)
-        half = [mpc(x0)] + [_curve_point(r, t) for t in thetas[1 : m // 2]]
-        half.append(mpc(x_neg))
+        crossings = real_crossings(r, precision_bits)
+        half = [
+            _half_node(r, j, m, thetas[j], crossings) for j in range(m // 2 + 1)
+        ]
         # conjugate() rounds to the ambient precision, the nodes' own here.
         points = half + [z.conjugate() for z in reversed(half[1:-1])]
         level = mp.e ** (-r)

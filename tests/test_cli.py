@@ -174,6 +174,15 @@ def test_config_file_errors(tmp_path):
     assert main(["curve", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_config_key_no_command_declares_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("r = 1\nnode = 32\nprecision = 64\n")
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown key 'node'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_settings_are_usage_errors(tmp_path, capsys):
     # each rule is the library's own; the CLI only maps its error to exit 2
     assert main(["curve", "--r", "1", "--precision", "32"]) == 2

@@ -262,6 +262,19 @@ def _count_sq_dist(monkeypatch):
     return calls
 
 
+def _count_nodes(monkeypatch):
+    """Indices j <= M/2 of the full-precision nodes weighted_leja builds."""
+    built = []
+    real = potential._half_node
+
+    def counted(r, j, *rest):
+        built.append(j)
+        return real(r, j, *rest)
+
+    monkeypatch.setattr(potential, "_half_node", counted)
+    return built
+
+
 @pytest.mark.parametrize(
     "r, N, grid_M, bits",
     [
@@ -280,10 +293,17 @@ def _count_sq_dist(monkeypatch):
 def test_weighted_leja_is_the_product_greedy_rule(monkeypatch, r, N, grid_M, bits):
     r = ap_real(r, bits)
     calls = _count_sq_dist(monkeypatch)
+    built = _count_nodes(monkeypatch)
     result = weighted_leja(r, N, grid_M, bits)
     assert _leja_triple(result) == _product_greedy_leja(r, N, grid_M, bits)
-    # the eager rule takes N * grid_M squared distances
+    # the eager rule takes N * grid_M squared distances and traces every node
     assert calls[0] < N * grid_M / 4
+    if r == 800:
+        # every omega2_i rounds to the same mpf: the first step's tie is
+        # settled only by every node, each evaluated once
+        assert sorted(built) == list(range(grid_M // 2 + 1))
+    else:
+        assert len(built) < grid_M / 4
 
 
 def test_weighted_leja_unbounded_shadow_updates_every_node(monkeypatch):
@@ -292,9 +312,12 @@ def test_weighted_leja_unbounded_shadow_updates_every_node(monkeypatch):
     r, N, grid_M = mpf("0.5"), 24, 384
     monkeypatch.setattr(potential, "_SHADOW_U", mp.inf)
     calls = _count_sq_dist(monkeypatch)
+    built = _count_nodes(monkeypatch)
     result = weighted_leja(r, N, grid_M, 128)
     assert _leja_triple(result) == _product_greedy_leja(r, N, grid_M, 128)
     assert calls[0] == sum(grid_M - k for k in range(1, N + 1)) <= N * grid_M
+    # each half node once; node M - j is the conjugate of node j
+    assert sorted(built) == list(range(grid_M // 2 + 1))
 
 
 def test_leja_robin_gap():
@@ -323,6 +346,14 @@ def test_weighted_leja_validation():
         weighted_leja(mpf(0), 0, 64, 128)
     with pytest.raises(InvalidParameter):
         weighted_leja(mpf(0), 16, 64, 128)
+    # the grid's node count and r, checked without tracing the grid
+    with pytest.raises(InvalidParameter):
+        weighted_leja(mpf(0), 2, 65, 128)
+    with pytest.raises(InvalidParameter):
+        weighted_leja(mpf(0), 1, 8, 128)
+    for r in (mpf(-1), mp.inf, mp.nan):
+        with pytest.raises(InvalidParameter):
+            weighted_leja(r, 2, 64, 128)
 
 
 def test_external_field():

@@ -274,6 +274,33 @@ def test_w0_raises_nonconvergence_at_its_cap(monkeypatch):
         assert gap(-err.value.best, z, PREC) <= mpf("1e-40")
 
 
+@pytest.mark.parametrize("r", ["0", "1e-12", "0.3", "1", "30", "800"])
+def test_double_nodes_lie_within_their_radii(r):
+    # Every double of node j / 2^k, j <= M/2, of trace_level_curve reaches
+    # the node within its certified radius; nodes M - j are the conjugates.
+    # At r = 800 the curve's radius, about e^-801, is below the double
+    # range; the scale 2^k keeps the doubles of order 1.
+    M = 384
+    r = ap_real(r, PREC)
+    points = trace_level_curve(r, M, PREC).points
+    k, zs, rads = szego._shadow_half(r, M, real_crossings(r, PREC), PREC)
+    assert len(zs) == len(rads) == M // 2 + 1
+    with workprec(PREC + 64):
+        assert mp.ldexp(1, k) <= mp.exp(-1 - r) < mp.ldexp(1, k + 1)
+        for node, z, rad in zip(points, zs, rads):
+            assert rad < 2.0**-30
+            scaled = mpc(mp.ldexp(node.real, -k), mp.ldexp(node.imag, -k))
+            assert abs(mpc(z) - scaled) <= rad
+
+
+def test_double_nodes_at_huge_r_have_infinite_radii():
+    # At r = 10^300 the nodes' own argument e^(-1-r+i theta), rounded at
+    # 208 bits, is uncertain by far more than itself.
+    for r in (ap_real("1e300", PREC), ap_real("1e400", PREC)):
+        _, _, rads = szego._shadow_half(r, 16, real_crossings(r, PREC), PREC)
+        assert all(rad == mp.inf for rad in rads[1:-1])
+
+
 def test_level_curve_rejects_unmirrored_nodes():
     curve = trace_level_curve(mpf(1), 16, PREC)
     thetas = (0, mpf("0.3"), 1, 2, mpf("2.5"), 4, 5, 6)
