@@ -3,7 +3,7 @@
 import pytest
 from mpmath import mp, mpf
 
-from szegolab import asymptotics
+from szegolab import asymptotics, szego
 from szegolab.asymptotics import (
     ks_uniform_theta,
     level_median,
@@ -14,7 +14,12 @@ from szegolab.asymptotics import (
     zero_distribution_report,
 )
 from szegolab.errors import InvalidSchedule
-from szegolab.laguerre import LaguerreSpec, evaluate, param_decomposition
+from szegolab.laguerre import (
+    LaguerreSpec,
+    evaluate,
+    monic_rescaled,
+    param_decomposition,
+)
 from szegolab.precision import (
     ap_real,
     default_precision,
@@ -149,7 +154,10 @@ def test_supnorm_extremality_scans_half_a_mirrored_curve(monkeypatch):
     curve = trace_level_curve(pd.r_eff, M, 256)
     calls = _count_evaluations(monkeypatch)
     half = supnorm_extremality(n, alpha, curve, 256)
-    assert len(calls) == M // 2 - 1  # nodes 2 .. M/2
+    # the screen evaluates only nodes that can hold the maximum, each once
+    evaluated = [curve.points.index(z) for z in calls]
+    assert all(2 <= j <= M // 2 for j in evaluated)
+    assert len(set(evaluated)) == len(evaluated) < M / 8
     spec = LaguerreSpec.contracted(n, alpha)
     with workprec(op_precision(256, spec.alpha)):
         full = max(
@@ -158,6 +166,65 @@ def test_supnorm_extremality_scans_half_a_mirrored_curve(monkeypatch):
             if j not in (0, 1, M - 1)
         )
     assert half == full
+
+
+def test_supnorm_extremality_unbounded_screen_evaluates_every_node(monkeypatch):
+    # An infinite unit roundoff makes every bound infinite: every node
+    # 2 .. M/2 is evaluated once, and the value is the screened one.
+    n, M = 20, 128
+    alpha = ap_real("-20.25", 256)
+    pd = param_decomposition(n, alpha, 256)
+    curve = trace_level_curve(pd.r_eff, M, 256)
+    screened = supnorm_extremality(n, alpha, curve, 256)
+    monkeypatch.setattr(szego, "_SHADOW_U", mp.inf)
+    calls = _count_evaluations(monkeypatch)
+    assert supnorm_extremality(n, alpha, curve, 256) == screened
+    assert [curve.points.index(z) for z in calls] == list(range(2, M // 2 + 1))
+
+
+def _schedule_point(kind, n, **params):
+    sched = make_schedule(kind, **{k: mpf(v) for k, v in params.items()})
+    return sched.alpha_at(n), sched.precision_bits(n)
+
+
+@pytest.mark.parametrize(
+    "n, point, flushes",
+    [
+        (60, lambda: (ap_real("-60.1", 512), 512), False),  # fig 2
+        (30, lambda: _schedule_point("generic", 30, c="0.1"), False),
+        (40, lambda: _schedule_point("exponential", 40, r="0.87"), False),
+        (22, lambda: _schedule_point("superexponential", 22), False),
+        (30, lambda: _schedule_point("superexponential", 30), True),
+    ],
+    ids=["fig2-60", "generic-30", "exponential-40", "superexp-22", "superexp-30"],
+)
+def test_supnorm_screen_encloses_every_full_precision_value(n, point, flushes):
+    alpha, bits = point()
+    M = 64
+    pd = param_decomposition(n, alpha, bits)
+    trace_bits = min(bits, 512)
+    with workprec(trace_bits):
+        r_trace = +pd.r_eff
+    curve = trace_level_curve(r_trace, M, trace_bits)
+    nodes = curve.points[2 : M // 2 + 1]
+    spec = LaguerreSpec.contracted(n, alpha)
+    s, lower, upper = asymptotics._log_bounds(spec, nodes, curve.r, bits)
+    prec = op_precision(bits, spec.alpha)
+    with workprec(prec):
+        values = [
+            mp.e ** (-mp.re(z)) * abs(evaluate(spec, z, bits)) ** (mpf(1) / n)
+            for z in nodes
+        ]
+    with workprec(prec + 64):
+        lam = n * mp.log(n) - mp.log(mp.factorial(n)) + s * n * mp.log(2)
+        for v, lo, hi in zip(values, lower, upper):
+            assert mpf(lo) <= mp.log(v) - lam / n <= mpf(hi)
+        # whether some scaled coefficient lies below double range, so that the
+        # screen flushes it to 0
+        coeffs = monic_rescaled(spec, bits).coeffs
+        smallest = min(abs(mp.ldexp(c, s * (k - n))) for k, c in enumerate(coeffs))
+        assert (smallest < mpf(2) ** -1022) == flushes
+    assert supnorm_extremality(n, alpha, curve, bits) == max(values)
 
 
 def test_zero_distribution_report_fields():
