@@ -37,9 +37,20 @@ the real axis once on each side, so it has no seed for a second positive
 zero, and naive real seeds stall when many zeros are real.
 
 On the full rungs, with real coefficients, a root whose imaginary part is
-below its residual and that has no other root within twice that distance
-is returned as real (Im z = 0 exactly), so the order of real zeros does not
-hang on the sign of rounding noise.
+at most twice its residual and that has no other root within twice that
+imaginary part is returned as real (Im z = 0 exactly), so the order of real
+zeros does not hang on the sign of rounding noise.
+
+Fixed point.  The Aberth sweeps run on Python ints, not mpmath numbers,
+whose per-operation overhead dominates below about 1000 bits.  With
+2^(s m) <= |c_0| < 2^((s + 1) m), so that 2^s is about the geometric mean
+of the root moduli, the sweeps iterate y = z / 2^s on the scaled monic
+polynomial with coefficients c_k 2^(s(k - m)), which is of order 1 on its
+zeros.  Coefficients and iterates are ints on 2^-F, F the working
+precision plus _FIXED_GUARD bits; each Horner product is an int multiply
+and a shift, and each term of sum 1/(z - z_j) one int division.  The
+Newton polish, the residuals, the real snap and the max(residual) <= tol
+gate run in mpmath on the iterates converted back.
 """
 
 from __future__ import annotations
@@ -75,6 +86,9 @@ _CLUSTER_SIGNAL = mpf("1e-3")
 # Precision of the limit-law seeds.  Aberth promotes them to working
 # precision; seeds at working precision take the same sweeps and cost more.
 _SEED_BITS = 64
+
+# Guard bits of the fixed-point Aberth sweeps above the working precision.
+_FIXED_GUARD = 8
 
 
 @dataclass(frozen=True)
@@ -113,7 +127,7 @@ def _start_circle(m, radius, offset_turns):
     pts = []
     for i in range(m):
         angle = 2 * mp.pi * (i + offset_turns) / m
-        pts.append(radius * mp.e ** (1j * angle))
+        pts.append(radius * mp.expj(angle))
     return pts
 
 
@@ -181,7 +195,7 @@ def _half_circle(m, radius, counts):
     -radius, and P = (m - R)/2 at angles pi (k + 1/2) / P."""
     pos, neg = counts
     thetas = _angles((m - pos - neg) // 2, 1)
-    return _Half([radius * mp.e ** (1j * t) for t in thetas], [radius] * pos + [-radius] * neg)
+    return _Half([radius * mp.expj(t) for t in thetas], [radius] * pos + [-radius] * neg)
 
 
 def _newton_polygon_starts(coeffs, offset_turns):
@@ -207,24 +221,122 @@ def _newton_polygon_starts(coeffs, offset_turns):
         radius = mpf(2) ** ((v1 - v2) / d)
         for i in range(d):
             angle = 2 * mp.pi * (i + offset_turns + k1) / d
-            starts.append(radius * mp.e ** (1j * angle))
+            starts.append(radius * mp.expj(angle))
     return starts
 
 
-def _newton(coeffs, z):
-    """The Newton correction p(z)/p'(z), or None where p(z) = 0."""
-    p, dp = _horner_pair(coeffs, z)
-    if p == 0:
-        return None
-    if dp == 0:
-        dp = mpf(2) ** (-mp.prec)
-    return p / dp
+def _fixed(x, e):
+    """x 2^e truncated to an int, for a finite mpf x."""
+    sign, man, exp, _ = x._mpf_
+    k = exp + e
+    v = man << k if k >= 0 else man >> -k
+    return -v if sign else v
 
 
-def _aberth_step(newton, s):
-    # Aberth's correction from the Newton step and sum_j 1/(z - z_j).
-    denom = 1 - newton * s
-    return newton if denom == 0 else newton / denom
+def _fixed_coeffs(coeffs, F):
+    """(s, b): the scale 2^s, 2^(s m) <= |c_0| < 2^((s + 1) m) up to one
+    step of s, and the coefficients b_k = c_k 2^(s(k - m)) of the monic
+    p(2^s y) / 2^(s m) as (re, im) ints on 2^-F, k = m - 1 down to 0.
+
+    2^s is about the geometric mean of the root moduli, so the scaled
+    polynomial is of order 1 on its zeros.  (The largest root modulus is
+    not: at n = 120 it leaves |p'| near 2^-336 at some zeros, below what
+    F bits can resolve.)
+    """
+    m = len(coeffs) - 1
+    s = mp.mag(coeffs[0]) // m if coeffs[0] else 0
+    b = []
+    for k in range(m - 1, -1, -1):
+        c, e = mpc(coeffs[k]), F + s * (k - m)
+        b.append((_fixed(c.real, e), _fixed(c.imag, e)))
+    return s, b
+
+
+def _horner_fixed(b, x, y, F):
+    """(Re p, Im p, Re p', Im p') at x + iy, all ints on 2^-F, for the
+    monic polynomial with coefficients b from _fixed_coeffs.  Each step
+    truncates each part once, so each errs by less than one unit."""
+    pr, pi_, dr, di = 1 << F, 0, 0, 0
+    ypx, ymx = y + x, y - x
+    for br, bi in b:
+        # (a + ib)(x + iy) by Gauss's three products
+        k = x * (dr + di)
+        dr, di = ((k - di * ypx) >> F) + pr, ((k + dr * ymx) >> F) + pi_
+        k = x * (pr + pi_)
+        pr, pi_ = ((k - pi_ * ypx) >> F) + br, ((k + pr * ymx) >> F) + bi
+    return pr, pi_, dr, di
+
+
+def _sweeps(coeffs, starts, npairs, tol):
+    """Aberth-Ehrlich sweeps in scaled fixed point; returns (roots,
+    converged, sweeps).
+
+    The first npairs starts are upper-half-plane roots that also stand for
+    their conjugates; the rest are free roots.  Each root is held as the
+    ints of y = z / 2^s on 2^-F (_fixed_coeffs), F = mp.prec +
+    _FIXED_GUARD, and each term of sum 1/(z - w) takes one reciprocal
+    division; a squared distance below 2^-F counts as 2^-F.  A root where
+    p = 0 exactly is not moved; where p' = 0 exactly, p' counts as 1.  The
+    stop rule max(|p/p'|, |step|) < tol compares squared int norms with
+    (tol 2^(F - s))^2.  With real coefficients, real starts stay exactly
+    real.
+    """
+    F = mp.prec + _FIXED_GUARD
+    s, b = _fixed_coeffs(coeffs, F)
+    zs = [mpc(z) for z in starts]
+    xr = [_fixed(z.real, F - s) for z in zs]
+    xi = [_fixed(z.imag, F - s) for z in zs]
+    sq = [y * y for y in xi]
+    one2, two2 = 1 << 2 * F, 1 << 2 * F + 1
+    tt = _fixed(tol, F - s) ** 2
+    n = len(zs)
+    for sweep in range(1, SWEEP_CAP + 1):
+        small = True
+        for i in range(n):
+            x, y = xr[i], xi[i]
+            pr, pi_, dr, di = _horner_fixed(b, x, y, F)
+            if not (pr or pi_):
+                continue
+            if not (dr or di):
+                dr = 1 << F
+            # sum 1/(z - w) on 2^-2F.  A pair w, conj w contributes
+            # 2 d conj(D) / |D|^2 with d = z - Re w, D = d^2 + (Im w)^2.
+            sr = si = 0
+            y2 = sq[i]
+            for j in range(npairs):
+                if j != i:
+                    u = x - xr[j]
+                    ar = (u * u - y2 + sq[j]) >> F
+                    ai = (u * y) >> (F - 1)
+                    rec = two2 // (((ar * ar + ai * ai) >> F) or 1)
+                    sr += ((u * ar + y * ai) >> F) * rec
+                    si += ((y * ar - u * ai) >> F) * rec
+            for j in range(npairs, n):
+                if j != i:
+                    ur, ui = x - xr[j], y - xi[j]
+                    rec = one2 // (((ur * ur + ui * ui) >> F) or 1)
+                    sr += ur * rec
+                    si -= ui * rec
+            sr, si = sr >> F, si >> F
+            if i < npairs:
+                si -= (1 << 2 * F - 1) // y  # 1/(z - conj z)
+            # The Aberth step p / (p' - p S), one complex division.
+            qr = dr - ((pr * sr - pi_ * si) >> F)
+            qi = di - ((pr * si + pi_ * sr) >> F)
+            if not (qr or qi):
+                qr, qi = dr, di
+            q2 = qr * qr + qi * qi
+            hr = ((pr * qr + pi_ * qi) << F) // q2
+            hi = ((pi_ * qr - pr * qi) << F) // q2
+            if small:
+                p2 = (pr * pr + pi_ * pi_) << 2 * F
+                small = hr * hr + hi * hi < tt and p2 < tt * (dr * dr + di * di)
+            xr[i], xi[i] = x - hr, y - hi
+            sq[i] = xi[i] * xi[i]
+        if small:
+            break
+    roots = [mpc(mp.ldexp(x, s - F), mp.ldexp(y, s - F)) for x, y in zip(xr, xi)]
+    return roots, small, sweep
 
 
 def _aberth(coeffs, starts, tol):
@@ -232,33 +344,7 @@ def _aberth(coeffs, starts, tol):
 
     Returns (roots, converged, sweeps).
     """
-    z = [mpc(s) for s in starts]
-    m = len(z)
-    for sweep in range(1, SWEEP_CAP + 1):
-        max_step = mpf(0)
-        for i in range(m):
-            newton = _newton(coeffs, z[i])
-            if newton is None:
-                continue
-            step = _aberth_step(
-                newton, mp.fsum((1 / (z[i] - z[j]) for j in range(m) if j != i))
-            )
-            z[i] = z[i] - step
-            max_step = max(max_step, abs(newton), abs(step))
-        if max_step < tol:
-            return z, True, sweep
-    return z, False, SWEEP_CAP
-
-
-def _pair_terms(z, pairs, skip=None):
-    # 1/(z - w) + 1/(z - conj w) = 2 (z - a) / ((z - a)^2 + b^2) for each
-    # w = a + i b in pairs, given as (a, b^2), except pairs[skip].
-    out = []
-    for k, (a, b2) in enumerate(pairs):
-        if k != skip:
-            d = z - a
-            out.append(2 * d / (d * d + b2))
-    return out
+    return _sweeps(coeffs, starts, 0, tol)
 
 
 def _aberth_pairs(coeffs, upper, reals, tol):
@@ -268,34 +354,8 @@ def _aberth_pairs(coeffs, upper, reals, tol):
 
     Returns (upper, reals, converged, sweeps).
     """
-    w = [mpc(s) for s in upper]
-    x = [mpf(s) for s in reals]
-    pairs = [(v.real, v.imag**2) for v in w]
-    for sweep in range(1, SWEEP_CAP + 1):
-        max_step = mpf(0)
-        for i in range(len(w)):
-            z = w[i]
-            newton = _newton(coeffs, z)
-            if newton is None:
-                continue
-            terms = _pair_terms(z, pairs, i) + [1 / (z - t) for t in x]
-            terms.append(mpc(0, -1 / (2 * z.imag)))  # 1/(z - conj z)
-            step = _aberth_step(newton, mp.fsum(terms))
-            w[i] = z = z - step
-            pairs[i] = (z.real, z.imag**2)
-            max_step = max(max_step, abs(newton), abs(step))
-        for i in range(len(x)):
-            newton = _newton(coeffs, x[i])
-            if newton is None:
-                continue
-            terms = _pair_terms(x[i], pairs)
-            terms += [1 / (x[i] - t) for j, t in enumerate(x) if j != i]
-            step = _aberth_step(newton, mp.fsum(terms))
-            x[i] = x[i] - step
-            max_step = max(max_step, abs(newton), abs(step))
-        if max_step < tol:
-            return w, x, True, sweep
-    return w, x, False, SWEEP_CAP
+    roots, converged, sweeps = _sweeps(coeffs, list(upper) + list(reals), len(upper), tol)
+    return roots[: len(upper)], [x.real for x in roots[len(upper) :]], converged, sweeps
 
 
 def _residual(coeffs, z):
@@ -328,12 +388,17 @@ def _mirror(coeffs, upper, reals):
 
 
 def _snap_real(coeffs, roots, residuals):
-    """Set Im z = 0 where |Im z| <= residual and no other root lies within
-    2 |Im z|; the residual is recomputed at the real point."""
+    """Set Im z = 0 where |Im z| <= 2 residual and no other root lies within
+    2 |Im z|; the residual is recomputed at the real point.
+
+    Near a real zero the residual |p/p'| is about |z - zero| >= |Im z|, and
+    where Re p rounds to 0 the two agree up to rounding; the factor 2 keeps
+    that tie from deciding.  A conjugate pair is caught by the second test.
+    """
     roots, residuals = list(roots), list(residuals)
     for i, z in enumerate(roots):
         y = abs(z.imag)
-        if y == 0 or y > residuals[i]:
+        if y == 0 or y > 2 * residuals[i]:
             continue
         if any(abs(z - w) <= 2 * y for j, w in enumerate(roots) if j != i):
             continue

@@ -85,7 +85,7 @@ class LevelCurve:
 
 def _phi(z):
     # z e^(1-z) at the caller's working precision.
-    return z * mp.e ** (1 - z)
+    return z * mp.exp(1 - z)
 
 
 def phi_map(z, precision_bits: int = 128):
@@ -113,9 +113,10 @@ def real_crossings(r, precision_bits: int = DEFAULT_TRACE_PRECISION):
     """
     r = _check_r(r)
     with workprec(op_precision(precision_bits, r) + 16):
-        w = _w0(-mp.e ** (-1 - r))
+        x = mp.exp(-1 - r)
+        w = _w0(-x)
         x0 = mpf(1) if r == 0 or w.imag else -w.real
-        return x0, -_w0(mp.e ** (-1 - r)).real
+        return x0, -_w0(x).real
 
 
 def check_node_count(M) -> None:
@@ -166,8 +167,12 @@ def _w0(x):
 
 
 def _curve_point(r, theta):
-    # -W_0(-e^(-1-r+i theta)) at the caller's working precision.
-    return -_w0(-mp.e ** (-1 - r + 1j * theta))
+    # -W_0(-e^(-1-r+i theta)) at the caller's working precision.  At
+    # r = theta = 0 the argument is the branch point -1/e before rounding,
+    # and the node the corner 1.
+    if not r and not theta:
+        return mpc(1)
+    return -_w0(-mp.exp(-1 - r + 1j * theta))
 
 
 # The double shadow of the equispaced nodes.  Node j of trace_level_curve is
@@ -181,7 +186,7 @@ def _curve_point(r, theta):
 #   x_j / 2^k = -a e^(i theta_j) with a = e^(-1-r) / 2^k in [1, 2), which
 #   mp.exp gives at the ambient P >= 80 bits within (r + 3) 2^-P before
 #   float() rounds it by u; the closed-form node's own argument
-#   -mp.e ** (-1 - r + i theta_j) is within (r + 5) 2^(1-P) of the exact
+#   -mp.exp(-1 - r + i theta_j) is within (r + 5) 2^(1-P) of the exact
 #   x_j, relatively.  theta_j = 2 pi j / M errs by 3.001 u theta_j (pi, the
 #   product, the division), cos and sin by 2 u, and the two products by u,
 #   so x_j / 2^k is within u (3.001 theta_j + 4.001) + (r + 5) 2^(2-P) of
@@ -281,9 +286,8 @@ def curve_point(r, theta, precision_bits: int = DEFAULT_TRACE_PRECISION) -> mpc:
     phi(z) = w inverts on the bounded component as z = -W_0(-w/e)
     (Corless et al., Adv. Comput. Math. 5, 1996), so
     z = -W_0(-e^(-1-r+i theta)), with no continuation; _w0 evaluates W_0.
-    At r = 0, theta = 0 the argument is -1/e rounded, so z is the corner 1
-    to about half the working precision, and exactly 1 where e x + 1
-    rounds to 0, as it does at 192 bits.
+    At r = 0, theta = 0 the argument is the branch point -1/e, and z is the
+    corner 1 exactly.
     """
     r = _check_r(r)
     with workprec(op_precision(precision_bits, r) + 16):

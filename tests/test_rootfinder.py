@@ -6,8 +6,14 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from szegolab import rootfinding
+from szegolab.asymptotics import make_schedule
 from szegolab.errors import InvalidParameter, NonConvergence
-from szegolab.laguerre import LaguerreSpec, monic_rescaled, recommended_precision
+from szegolab.laguerre import (
+    CoeffList,
+    LaguerreSpec,
+    monic_rescaled,
+    recommended_precision,
+)
 from szegolab.precision import ap_real, op_precision, workprec
 from szegolab.rootfinding import (
     ZeroSet,
@@ -20,8 +26,6 @@ from conftest import gap
 
 
 def _coeff_list(*ascending):
-    from szegolab.laguerre import CoeffList
-
     return CoeffList(coeffs=tuple(mpf(c) for c in ascending), monic_flag=True)
 
 
@@ -41,8 +45,6 @@ def test_find_roots_exact_origin_deflation():
 
 
 def test_find_roots_requires_monic():
-    from szegolab.laguerre import CoeffList
-
     bad = CoeffList(coeffs=(mpf(1), mpf(2)), monic_flag=False)
     with pytest.raises(InvalidParameter):
         find_roots(bad, 128)
@@ -178,19 +180,25 @@ def _superexponential_alpha(n):
 
 
 @pytest.mark.parametrize(
-    "n, alpha, k, runs",
+    "n, alpha, k, runs, bits",
     [
-        (9, "-9.5", 0, ["pairs"]),  # R = 1: the law rung runs on pairs
-        (9, "-9.5", 1, ["pairs", "full"]),  # a failed pair run hands over
-        (9, "-9.5", 2, ["pairs", "full", "full"]),
-        (9, "-9.5", 3, ["pairs", "full", "full", "full"]),
-        (12, "-7.5", 1, ["full", "full"]),  # R = 6 > 2: no pair run
-        (12, None, 0, ["pairs"]),  # superexponential: paired geometric
-        (12, None, 1, ["pairs", "full"]),
+        (9, "-9.5", 0, ["pairs"], 192),  # R = 1: the law rung runs on pairs
+        (9, "-9.5", 1, ["pairs", "full"], 192),  # a failed pair run hands over
+        (9, "-9.5", 2, ["pairs", "full", "full"], 192),
+        (9, "-9.5", 3, ["pairs", "full", "full", "full"], 192),
+        (12, "-7.5", 1, ["full", "full"], 192),  # R = 6 > 2: no pair run
+        (12, None, 0, ["pairs"], None),  # superexponential: paired geometric
+        (12, None, 1, ["pairs", "full"], None),
+        # Re p rounds to 0 at the real zero here, so its residual equals
+        # |Im z| up to rounding; a snap rule |Im z| <= residual left it
+        # complex.
+        (9, "-9.5", 1, ["pairs", "full"], 160),
+        (9, "-9.5", 2, ["pairs", "full", "full"], 168),
     ],
-    ids=list(LADDER) + ["above-two-real", "cluster", "cluster-circle"],
+    ids=list(LADDER)
+    + ["above-two-real", "cluster", "cluster-circle", "circle-160", "geometric-168"],
 )
-def test_every_rung_delivers_the_same_rows(n, alpha, k, runs, monkeypatch):
+def test_every_rung_delivers_the_same_rows(n, alpha, k, runs, bits, monkeypatch):
     # n = 9 has one real zero; without Im = 0 snapping, the law and circle
     # starts leave rounding noise of opposite signs on it, which sorts it
     # into the first row from one start and the last row from the other.
@@ -199,7 +207,7 @@ def test_every_rung_delivers_the_same_rows(n, alpha, k, runs, monkeypatch):
         prec = recommended_precision(n, alpha)
         ladder = ("geometric", "circle")
     else:
-        alpha, prec, ladder = mpf(alpha), 192, LADDER
+        alpha, prec, ladder = mpf(alpha), bits, LADDER
     tol = mpf(2) ** -(prec // 2)
     reference = contracted_zeros(n, alpha, prec)
     calls = _fail_first(monkeypatch, k)
@@ -272,3 +280,130 @@ def test_limit_law_seeds_figure_two():
     assert zs.start == "limit-law"
     assert zs.sweeps <= 8
     assert max(zs.residuals) <= mpf(2) ** -256
+
+
+def _monic_from_roots(roots, bits):
+    """Ascending coefficients of prod (z - r)."""
+    with workprec(bits):
+        c = [mpc(1)]
+        for r in roots:
+            c = [-r * c[0]] + [c[k - 1] - r * c[k] for k in range(1, len(c))] + [c[-1]]
+    return CoeffList(c, monic_flag=True)
+
+
+def _fixed_setup(coeffs, bits):
+    """(P, F, s, b) exactly as find_roots and _sweeps set them up."""
+    P = op_precision(bits, *coeffs.coeffs) + 16
+    F = P + rootfinding._FIXED_GUARD
+    with workprec(P):
+        s, b = rootfinding._fixed_coeffs(coeffs.coeffs, F)
+    return P, F, s, b
+
+
+_COMPLEX_ROOTS = ("0.3+0.2j", "-0.25+0.45j", "0.1-0.6j", "-0.4-0.1j", "0.55+0.05j")
+
+
+def _horner_case(name):
+    if name == "fig2":
+        return monic_rescaled(LaguerreSpec.contracted(60, ap_real("-60.1", 512)), 512), 512
+    if name == "generic-60":
+        sched = make_schedule("generic", c=ap_real("0.1", 64))
+        bits = sched.precision_bits(60)
+        return monic_rescaled(LaguerreSpec.contracted(60, sched.alpha_at(60)), bits), bits
+    return _monic_from_roots([mpc(complex(r)) for r in _COMPLEX_ROOTS], 192), 192
+
+
+@pytest.mark.parametrize("name", ["fig2", "generic-60", "complex"])
+def test_fixed_horner_within_its_running_bound(name):
+    # Each step of _horner_fixed truncates each part of a product once, and
+    # each coefficient was truncated once, every time by less than one unit
+    # of 2^-F.  So the errors in units obey e_k <= |y| e_(k+1) + 2 sqrt 2 for
+    # p and d_k <= |y| d_(k+1) + sqrt 2 + e_(k+1) for p', from e_m = d_m = 0
+    # (3 and 2 bound the roots).  The reference is mp Horner on the exact
+    # scaled coefficients at the exact point, at twice the precision.
+    # Points: the solver's zeros, points 2^-20 off them, and a circle.
+    coeffs, bits = _horner_case(name)
+    P, F, s, b = _fixed_setup(coeffs, bits)
+    m = coeffs.degree
+    zs = find_roots(coeffs, bits).zeros
+    with workprec(P):
+        points = list(zs[::3]) + [z * (1 + mpf(2) ** -20 * 1j) for z in zs[1::5]]
+        points += [abs(zs[0]) * mp.expj(k) for k in range(4)]
+        ints = [(rootfinding._fixed(z.real, F - s), rootfinding._fixed(z.imag, F - s)) for z in points]
+    worst = 0
+    with workprec(2 * F + 64):
+        scaled = [mpc(c) for c in coeffs.coeffs]
+        scaled = [
+            mpc(mp.ldexp(c.real, s * (k - m)), mp.ldexp(c.imag, s * (k - m)))
+            for k, c in enumerate(scaled)
+        ]
+        for X, Y in ints:
+            y = mpc(mp.ldexp(X, -F), mp.ldexp(Y, -F))
+            p, dp = rootfinding._horner_pair(scaled, y)
+            pr, pi, dr, di = rootfinding._horner_fixed(b, X, Y, F)
+            e = d = mpf(0)
+            for _ in range(m):
+                e, d = abs(y) * e + 3, abs(y) * d + 2 + e
+            err_p = abs(mpc(pr, pi) - p * 2**F)
+            err_dp = abs(mpc(dr, di) - dp * 2**F)
+            assert err_p <= e and err_dp <= d
+            worst = max(worst, err_p / e, err_dp / d)
+    assert worst > 0  # the ints are not exact, so the check has teeth
+
+
+def test_superexponential_scaled_coefficients_stay_nonzero():
+    # The cluster's scaled coefficients span from about 1 down to 2^-660 at
+    # n = 22 (the double screen of asymptotics flushes such values to 0 from
+    # n = 30 on); on 2^-F none may round to 0.
+    sched = make_schedule("superexponential")
+    bits = sched.precision_bits(22)
+    coeffs = monic_rescaled(LaguerreSpec.contracted(22, sched.alpha_at(22)), bits)
+    P, F, s, b = _fixed_setup(coeffs, bits)
+    assert len(b) == 22
+    for (re, im), c in zip(b, reversed(coeffs.coeffs[:-1])):
+        assert c != 0 and re != 0 and im == 0
+    assert min(abs(re).bit_length() for re, _ in b) < F - 600
+
+
+def test_full_aberth_on_complex_coefficients():
+    # Complex coefficients take the full rungs only, on the fixed-point kernel.
+    roots = [mpc(complex(r)) for r in _COMPLEX_ROOTS]
+    zs = find_roots(_monic_from_roots(roots, 192), 128)
+    assert zs.start == "circle" and zs.sweeps > 0
+    assert max(zs.residuals) <= mpf(2) ** -64
+    with workprec(144):
+        for r in roots:
+            assert min(abs(z - r) for z in zs.zeros) <= mpf(2) ** -100
+
+
+def _cube_roots_of_unity():
+    return [mp.expj(2 * mp.pi * k / 3) for k in range(3)]
+
+
+def test_aberth_skips_a_start_where_p_is_exactly_zero():
+    # z^3 - 1 started exactly at its root 1: p = 0 there in the ints, so that
+    # root is never stepped and the other two converge around it.
+    coeffs = [mpf(-1), mpf(0), mpf(0), mpf(1)]
+    with workprec(144):
+        starts = [mpc(1), mpc("-0.4", "0.7"), mpc("-0.6", "-0.9")]
+        roots, converged, sweeps = rootfinding._aberth(coeffs, starts, mpf(2) ** -64)
+        assert converged and roots[0] == 1
+        for r, z in zip(_cube_roots_of_unity(), roots):
+            assert abs(z - r) <= mpf(2) ** -64
+
+
+def test_aberth_substitutes_a_zero_derivative():
+    # z^3 - 1 started at 0, between the starts a and -a: there p = -1,
+    # p' = 0 and sum 1/(z - w) = 0 exactly in the ints, so the Aberth
+    # denominator p' - p S is 0.  The step falls back to p / p' with p'
+    # counted as 1, which moves 0 exactly onto the root 1.
+    coeffs = [mpf(-1), mpf(0), mpf(0), mpf(1)]
+    with workprec(144):
+        F = mp.prec + rootfinding._FIXED_GUARD
+        s, b = rootfinding._fixed_coeffs(coeffs, F)
+        assert s == 0 and rootfinding._horner_fixed(b, 0, 0, F) == (-(1 << F), 0, 0, 0)
+        a = mpc("0.6", "0.3")
+        roots, converged, sweeps = rootfinding._aberth(coeffs, [mpc(0), a, -a], mpf(2) ** -64)
+        assert converged and roots[0] == 1
+        for r in _cube_roots_of_unity():
+            assert min(abs(z - r) for z in roots) <= mpf(2) ** -64

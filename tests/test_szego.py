@@ -83,9 +83,9 @@ def test_real_crossings_match_lambertw(bits):
         with workprec(bits):
             r = mpf(r_text)
         with workprec(op_precision(bits, r) + 16):
-            ref0 = -mp.lambertw(-mp.e ** (-1 - r))
+            ref0 = -mp.lambertw(-mp.exp(-1 - r))
             ref0 = mpf(1) if r == 0 or isinstance(ref0, mpc) else ref0
-            ref_neg = -mp.lambertw(mp.e ** (-1 - r))
+            ref_neg = -mp.lambertw(mp.exp(-1 - r))
         x0, x_neg = real_crossings(r, bits)
         assert isinstance(x0, mpf) and isinstance(x_neg, mpf)
         assert x_neg == ref_neg, r_text
@@ -253,13 +253,13 @@ def test_curve_point_matches_lambertw(r, bits):
             if r == 0 and theta == 0:
                 continue  # the corner; see test_curve_point_at_the_corner
             z = szego._curve_point(r, theta)
-            ref = -mp.lambertw(-mp.e ** (-1 - r + 1j * theta))
+            ref = -mp.lambertw(-mp.exp(-1 - r + 1j * theta))
             assert z == ref or abs(z - ref) <= abs(ref) * mpf(2) ** -bits, theta
 
 
 def test_curve_point_at_the_corner():
-    # -e^(-1) rounds onto the branch point -1/e at 192 bits; mpmath's
-    # lambertw returns 1 - 6e-32i there.
+    # r = theta = 0 is the branch point -1/e, whose node is the corner 1;
+    # mpmath's lambertw of the rounded argument is 1 - 6e-32i at 192 bits.
     assert gap(curve_point(0, 0, PREC), mpf(1), PREC) <= mpf(2) ** -150
 
 
