@@ -7,9 +7,9 @@ level deviation, angular Kolmogorov-Smirnov distance against the uniform
 law, harmonic moment gaps, and the two extremality gaps used as
 convergence proxies.  Every LevelCurve is mirrored about the real axis,
 so the sup-norm gap is a maximum over nodes j <= M/2 of Gamma_(r_eff)
-only.  A double-precision Horner pass with a certified error bound screens
-those nodes, and only the ones that can hold the maximum are evaluated at
-full precision.  Working precision comes from
+only.  The report's own zeros, summed in doubles within their certified
+radii, screen those nodes, and only the ones that can hold the maximum are
+evaluated at full precision.  Working precision comes from
 precision.schedule_precision, re-exported here.
 """
 
@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from . import szego
-from .errors import InvalidSchedule
+from .errors import InvalidParameter, InvalidSchedule
 from .laguerre import (
     LaguerreSpec,
     evaluate,
     evaluate_at_zero,
-    monic_rescaled,
     param_decomposition,
     recommended_precision,
 )
@@ -147,160 +146,114 @@ def ks_uniform_theta(zeros, precision_bits: int = 128) -> mpf:
         return d
 
 
-# The double screen of supnorm_extremality.  Node z of the curve has the
-# value v(z) = e^(-Re z) |L(z)|^(1/n), L(z) = L_n^(alpha)(n z) = l_n p(z),
-# l_n = (-1)^n n^n / n!, p monic with the coefficients c_k of
-# laguerre.monic_rescaled.  With y = z / 2^s, 2^s <= e^(-1-r) < 2^(s+1) as in
-# szego._shadow_half, p(z) = 2^(s n) q(y), q(y) = sum_k b_k y^k,
-# b_k = c_k 2^(s (k - n)) exactly (mp.ldexp), so q is monic and of order 1 on
-# the curve however small the curve is, and log v(z) = lam / n - Re z +
-# log|q(y)| / n with lam = log|l_n 2^(s n)| the same for every node.  The
-# screen encloses, for each node, the log of the value that the
-# full-precision expression of supnorm_extremality computes, less lam / n.
-# In the standard model (Higham, Accuracy and Stability of Numerical
-# Algorithms, 2002, secs. 2.2, 3.6 and 5.1), with u = 2^-53, rounding to
-# nearest, math.log faithful (szego states the same of exp, cos and sin),
-# mpmath's abs, log, exp and pow within two units in the last place, and
-# P >= 64 the bits of the full-precision expression:
-#   Horner in doubles.  q_n = 1, q_k = q_(k+1) y + b_k, and the computed
-#     qh_k = fl(fl(yh qh_(k+1)) + bh_k), with yh and bh_k the doubles of y
-#     and b_k.  A complex product rounds by at most sqrt(2) gamma_2 relative
-#     (sec. 3.6), adding the real bh_k by u, and |yh - y| <= u |y|.  So
-#     e_k = qh_k - q_k = y e_(k+1) + t_k with |t_k| <= 1.01 u |qh_k| +
-#     3.83 u |yh| |qh_(k+1)| + |bh_k - b_k|, and |qh_0 - q(y)| <=
-#     sum_k |y|^k |t_k|.  Its first two parts are at most 4.84 u mu, with
-#     mu = sum_k |yh|^k |qh_k| Higham's running bound; 7 u mu also covers
-#     the error of abs(qh_0) (hypot, within 2 u), one of mu's terms.
-#   The coefficients.  monic_rescaled builds c_k from alpha with at most
-#     5 n + 2 roundings at P bits, within g |c_k|, g = (5 n + 3) 2^-P, of the
-#     true coefficient; the double adds u.  A b_k below 2^-1022 is flushed
-#     to 0 and errs by at most 2^-1021.  Coefficient k thus weighs
-#     w_k = 1.01 (u + g) |bh_k| + 2^-1020 in sw = sum_k |yh|^k w_k; the
-#     2^-1020 also covers underflow in the pass (2^-1072 per operation) and
-#     in the double of eq below.
-#   The sums in doubles.  mu, sw and |y|^k <= |yh|^k (1 + u)^k are within
-#     (1 + u)^(8 n + 12) of their computed values, with the roundings of rad
-#     below; F = 1 + 10 (n + 1) u covers that.  A node with |yh| below
-#     2^-1000, where a subnormal part of yh would break |yh - y| <= u |y|,
-#     is not bounded.
-#   The full-precision recurrence.  evaluate runs y_(k+1) = (a_k y_k -
-#     b'_k y_(k-1)) / (k + 1), a_k = 2k + 1 + alpha - n z, b'_k = k + alpha,
-#     at P' >= P bits.  A step's result is the exact step from the computed
-#     y_k and y_(k-1) within 6 2^-P (A_k |y_k| + |b'_k| |y_(k-1)|) / (k + 1),
-#     A_k = |2k + 1 + alpha| + n R >= |a_k|, R = rmax >= max |z|.  With the
-#     majorant Y_0 = 1, Y_1 = A_0, Y_(k+1) = (A_k Y_k + |b'_k| Y_(k-1)) /
-#     (k + 1), induction bounds the error of y_k by ((1 + 6 2^-P)^k - 1) Y_k,
-#     so that of L(z) by 6.01 n 2^-P Y_n.  Y_n is computed at P bits, and
-#     eq = 8 n 2^-P Y_n / |l_n 2^(s n)| bounds the error in units of q, with
-#     room for the roundings of Y_n, of eq and of its double.
-#   So |L(z)| / |l_n 2^(s n)| lies within rad = F (7 u mu + sw) + eq of the
-#     double |qh_0|; x = |qh_0| +- rad rounds by u relative.
-#   The rest of the expression.  abs, pow(1/n), mp.e ** (-Re z) and the
-#     product at P bits move log v by at most 2^-P (8 + 2 |Re z| +
-#     4 |log|L|| / n); the part that scales with |log|L|| is monotone in it,
-#     so the end x may stand in for |L|.  The screen doubles this term for
-#     the rounding of its own double.  Then w = log(x) / n - re, re = Re z as
-#     a double, is within u (2 |w| + 2 |re| + 4 |log x| / n + 2) + 2^-1073
-#     of log(x) / n - Re z, the rounding of w +- that margin included.
-# Every bound has terms in szego._SHADOW_U, so setting it to inf makes every
-# bound infinite and every node a candidate.
+# The screen of supnorm_extremality encloses the log of each node's value
+# v(z) = e^(-Re z) |L(z)|^(1/n), as its full-precision expression computes it
+# at P >= 64 bits, less lam / n: L(z) = L_n^(alpha)(n z) = l_n p(z), p monic,
+# l_n = (-1)^n n^n / n!, lam = log|l_n 2^(s n)| (|lam| <= n (1 + |s|)),
+# 2^s <= e^(-1-r) < 2^(s+1) as in szego._shadow_half, y = z / 2^s, q(y) =
+# p(z) / 2^(s n); u = 2^-53, math.log and complex abs faithful, mpmath 2 ulp.
+#   The roots.  find_roots solved the coefficients c' of monic_rescaled at P
+#     bits, within g = (5 n + 3) 2^-P relative of the true ones.  A root of c'
+#     lies within rho_k of zero k; if the n disks are disjoint, each holds
+#     one, eta_k, and q'(y) = prod_k (y - eta_k / 2^s) is c' scaled.  The
+#     doubles ze_k of the zeros over 2^s and yh of y err by u |.| + 2^-1074;
+#     rho >= 2^-1022 bounds every rho_k / 2^s (a cluster's radii leave double
+#     range).  So the disks are disjoint if all |ze_i - ze_j| > 2.01 (rho +
+#     u Z + 2^-1074), Z = max |ze_k|.
+#   The sum.  h_k = abs(yh - ze_k) is within 3 u of |yh - ze_k|, itself
+#     within a factor 1 +- tau of |y - eta_k / 2^s|, tau = (rho + u (|y| + Z)
+#     + 2^-1073) / min h_k.  If tau <= 1/2, log|q'(y)| is within E = 1.01 (3 u
+#     |S| + 4 n (u max(1, 1 - log min h_k) + tau)) of S = fsum log h_k: each
+#     log errs by 2 u |log h_k|, and sum |log h_k| <= |S| + 2 n max(0,
+#     -log min h_k).
+#   The rest.  |c'_k| <= e_(n-k)(|eta|), so |q - q'| <= g (1 + 2 g) (|y| + Z +
+#     rho)^n.  evaluate's recurrence errs by 6.01 n 2^-P Y_n at most, Y_n its
+#     majorant with |a_k| <= |2k + 1 + alpha| + n R, R = rmax >= |z|; in units
+#     of q, eq = 8 n 2^-P Y_n / |l_n 2^(s n)|.  Relative to |q'| >= e^(S - E)
+#     these are rc and re; if both are <= e^-3, the log of the computed
+#     |L| / |l_n 2^(s n)| is within D = E + 2.02 (rc + re) + 2^-1069 of S.
+#     abs, pow(1/n), mp.e ** (-Re z) and the product move log v by 2^-P (8 +
+#     2 |Re z| + 4 |log|L|| / n) at most, below u (3 + |s| + |re| + (|S| +
+#     D) / n) / 2^9, and w = S / n - re, re = Re z as a double, errs by
+#     u (|w| + |re| + |S| / n).  So the bounds are w +- (1.01 (D / n + u (2 |w|
+#     + 2 |re| + 2 |S| / n + |s| + 2)) + 2^-1073).  Other nodes are unbounded.
+# Every bound has terms in szego._SHADOW_U; at inf every node is a candidate.
 
 
-def _log_bounds(spec, nodes, r, precision_bits):
-    """(s, lower, upper): certified bounds, derived above, on the log of each
-    node's full-precision value less log|l_n 2^(s n)| / n.
-
-    A bound that cannot be certified is -inf or inf (or nan for an upper).
-    """
-    u = szego._SHADOW_U
-    n = spec.n
-    coeffs = monic_rescaled(spec, precision_bits).coeffs
-    prec = op_precision(precision_bits, spec.alpha)
+def _log_bounds(zs, nodes, r, precision_bits):
+    """(s, lower, upper): the bounds derived above, -inf / inf where uncertified."""
+    u, n, alpha = szego._SHADOW_U, zs.spec.n, zs.spec.alpha
+    prec = op_precision(precision_bits, alpha)
     with workprec(64):
         s = mp.frexp(mp.exp(-1 - r))[1] - 1
-        lam = float(n * mp.log(n) - mp.log(mp.factorial(n)) + s * n * mp.ln2)
-    ys = [complex(mp.ldexp(z.real, -s), mp.ldexp(z.imag, -s)) for z in nodes]
+    ys, ze = ([complex(mp.ldexp(z.real, -s), mp.ldexp(z.imag, -s)) for z in pts]
+              for pts in (nodes, zs.zeros))
+    lower, upper = [-math.inf] * len(nodes), [math.inf] * len(nodes)
+    rho = float(mp.ldexp(max(zs.radii, default=mp.inf), -s))
+    big, rho = max(map(abs, ze), default=0.0), max(rho * (1 + 2.0**-52), 2.0**-1022)
+    pairs = (abs(a - b) for i, a in enumerate(ze) for b in ze[i + 1 :])
+    apart = 2.01 * (rho + u * big + 2.0**-1074)
+    if (len(ze), len(zs.radii)) != (n, n) or not min(pairs, default=math.inf) > apart:
+        return s, lower, upper
     rmax = (1 + 8 * u) * math.ldexp(max(map(abs, ys), default=0.0), s) + 2.0**-1074
     with workprec(prec):
         nr = n * mpf(rmax)
-        prev, cur = mpf(1), abs(1 + spec.alpha) + nr
+        prev, cur = mpf(1), abs(1 + alpha) + nr
         for k in range(1, n):
-            prev, cur = cur, (
-                (abs(2 * k + 1 + spec.alpha) + nr) * cur + abs(k + spec.alpha) * prev
-            ) / (k + 1)
-        eq = float(mp.ldexp(8 * n * cur * mp.factorial(n) / mpf(n) ** n, -prec - s * n))
-    ub = 1.01 * (u + math.ldexp(5 * n + 3, -prec))
-    low = []
-    for c, k in zip(coeffs[-2::-1], range(n - 1, -1, -1)):
-        b = float(mp.ldexp(c, s * (k - n)))
-        b = b if abs(b) >= 2.0**-1022 else 0.0
-        low.append((b, ub * abs(b) + 2.0**-1020))
-    f = 1 + 10 * (n + 1) * u
-
-    def widen(x, re):
-        # log(x) / n - re and its margin, derived above
-        lx = math.log(x)
-        w = lx / n - re
-        tail = math.ldexp(8 + 2 * abs(re) + 4 * (abs(lam) + abs(lx)) / n, -prec)
-        return w, u * (2 * abs(w) + 2 * abs(re) + 4 * abs(lx) / n + 2) + (
-            2.0**-1073 + 2 * tail
-        )
-
-    upper, lower = [], []
-    for y, z in zip(ys, nodes):
-        ay = abs(y)
-        q, mu, sw = 1 + 0j, 1.0, ub + 2.0**-1020
-        for b, wb in low:
-            q = q * y + b
-            mu = mu * ay + abs(q)
-            sw = sw * ay + wb
-        rad = f * (7 * u * mu + sw) + eq if ay >= 2.0**-1000 else math.inf
-        re = float(z.real)
-        w, err = widen(abs(q) + rad, re)
-        upper.append(w + err)
-        lo = abs(q) - rad
-        if 0 < lo < math.inf:
-            w, err = widen(lo, re)
-            lower.append(w - err)
-        else:
-            lower.append(-math.inf)
+            a_k = abs(2 * k + 1 + alpha) + nr
+            prev, cur = cur, (a_k * cur + abs(k + alpha) * prev) / (k + 1)
+        eq = mp.ldexp(8 * n * cur * mp.factorial(n) / mpf(n) ** n, -prec - s * n)
+        leq = float(mp.log(eq))
+    lg = math.log(5 * n + 3) - prec * math.log(2) + 2.0**-40
+    for j, (y, z) in enumerate(zip(ys, nodes)):
+        hs = [abs(y - w) for w in ze]
+        tau = (rho + u * (abs(y) + big) + 2.0**-1073) / min(hs)
+        if not tau <= 0.5:
+            continue
+        S = math.fsum(map(math.log, hs))
+        E = 1.01 * (3 * u * abs(S) + 4 * n * (u * max(1, 1 - math.log(min(hs))) + tau))
+        lc = lg + n * math.log((abs(y) + big + rho) * (1 + 4 * u)) - S + E
+        if max(lc, leq - S + E) <= -3:
+            D = E + 2.02 * (math.exp(lc) + math.exp(leq - S + E)) + 2.0**-1069
+            re = float(z.real)
+            w = S / n - re
+            err = D / n + u * (2 * abs(w) + 2 * abs(re) + 2 * abs(S) / n + abs(s) + 2)
+            lower[j], upper[j] = w - 1.01 * err - 2.0**-1073, w + 1.01 * err + 2.0**-1073
     return s, lower, upper
 
 
 def supnorm_extremality(
-    n: int, alpha, curve: LevelCurve, precision_bits: int | None = None
+    zs: ZeroSet, curve: LevelCurve, precision_bits: int | None = None
 ) -> mpf:
-    """max over the samples of curve of e^(-Re z) |L_n^(alpha)(n z)|^(1/n).
+    """max over the samples of curve of e^(-Re z) |L_n^(alpha)(n z)|^(1/n),
+    for zs the zeros contracted_zeros(n, alpha, precision_bits) returns.
 
     The nodes next to the positive crossing x0 (the first, second and last
     sample) are excluded: the underlying bound holds quasi-everywhere and
-    genuinely fails at x0.  L_n^(alpha) has real coefficients, so the value
-    at conj z equals the value at z to the last bit; node M - j of every
-    LevelCurve is exactly the conjugate of node j, so only nodes
-    2 .. M/2 can hold the maximum.  A double-precision Horner pass with a
-    certified running error bound (_log_bounds) encloses each of their
-    values, and a node is evaluated at full precision only if its upper
-    bound reaches the largest lower bound: every other node's value is
-    strictly below some node's, so the result is the full scan's to the
-    last bit.  Where the bounds are not finite every node is evaluated.
+    genuinely fails at x0.  L_n^(alpha) is real and node M - j of every
+    LevelCurve is the exact conjugate of node j, so only nodes 2 .. M/2
+    count.  Only those whose bound from the zeros' potential (_log_bounds)
+    reaches the largest lower bound are evaluated at full precision, so the
+    result is the full scan's to the last bit; where zs has no radii or its
+    disks overlap, all are.
     """
+    spec = zs.spec
+    if spec is None or spec.scale != spec.n:
+        raise InvalidParameter("supnorm_extremality needs zeros of L_n^(alpha)(n z)")
+    n = spec.n
     if precision_bits is None:
-        precision_bits = recommended_precision(n, alpha)
-    spec = LaguerreSpec.contracted(n, alpha)
+        precision_bits = recommended_precision(n, spec.alpha)
     prec = op_precision(precision_bits, spec.alpha)
     nodes = curve.points[2 : len(curve) // 2 + 1]
-    _, lower, upper = _log_bounds(spec, nodes, curve.r, precision_bits)
+    _, lower, upper = _log_bounds(zs, nodes, curve.r, precision_bits)
     least = max(lower, default=-math.inf)
     with workprec(prec):
-        best = mpf(0)
-        for z, hi in zip(nodes, upper):
-            if hi < least:
-                continue
-            val = mp.e ** (-mp.re(z)) * abs(evaluate(spec, z, precision_bits)) ** (
-                mpf(1) / n
-            )
-            best = max(best, val)
-        return best
+        values = (
+            mp.e ** (-mp.re(z)) * abs(evaluate(spec, z, precision_bits)) ** (mpf(1) / n)
+            for z, hi in zip(nodes, upper)
+            if not hi < least
+        )
+        return max(values, default=mpf(0))
 
 
 def origin_extremality(n: int, alpha, precision_bits: int | None = None) -> mpf:
@@ -342,7 +295,7 @@ def zero_distribution_report(
             mean = mp.fsum((z**k for z in zs.zeros)) / n
             moment_gaps.append(abs(mean - (1 if k == 0 else 0)))
         ks = ks_uniform_theta(zs.zeros, precision_bits)
-        sup_val = supnorm_extremality(n, alpha, curve, precision_bits)
+        sup_val = supnorm_extremality(zs, curve, precision_bits)
         supnorm_gap = sup_val - mp.e ** (-pd.r_eff)
         origin_gap = origin_extremality(n, alpha, precision_bits)
     return ConvergenceReport(

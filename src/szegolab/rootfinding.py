@@ -50,12 +50,14 @@ zeros.  Coefficients and iterates are ints on 2^-F, F the working
 precision plus _FIXED_GUARD bits; each Horner product is an int multiply
 and a shift, and each term of sum 1/(z - z_j) one int division.  The
 Newton polish, the residuals, the real snap and the max(residual) <= tol
-gate run in mpmath on the iterates converted back.
+gate run in mpmath on the iterates converted back.  Then one more
+fixed-point Horner pass per zero gives it a certified radius (_radii).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
@@ -95,6 +97,9 @@ _FIXED_GUARD = 8
 class ZeroSet:
     """All roots (with multiplicity) plus per-root residuals |p/p'|.
 
+    radii (from find_roots; () on hand-built sets): a root of the solved
+    coefficients lies within radii[i] of zeros[i], inf where none is certified.
+
     start names the ladder rung whose Aberth run delivered the roots
     ("limit-law", "circle", "geometric", "newton-polygon"), or
     "closed-form" when at most two roots remained after deflation; sweeps
@@ -107,6 +112,7 @@ class ZeroSet:
     spec: LaguerreSpec | None = None
     start: str = "closed-form"
     sweeps: int = 0
+    radii: tuple = ()
 
     def __len__(self) -> int:
         return len(self.zeros)
@@ -364,6 +370,44 @@ def _residual(coeffs, z):
     return abs(p) / scale
 
 
+def _radii(coeffs, roots, real):
+    """Radii, rounded up, about the roots of the monic coeffs (degree m >= 1).
+
+    At a root cut to y on the sweeps' grid, p runs on 2^-F as _horner_fixed
+    has it and p' on 2^-G >= 2^-F, from y and p cut to G bits (128 beyond
+    |y|^m).  Each product and cut errs by under a unit per part, so the
+    errors obey e_k <= |y| e_(k+1) + 3 and d_k <= (|y| + 3 2^-G) d_(k+1) + 3
+    + 2^(1-G) |p'_(k+1)| + 2^(G-F) e_(k+1) units, from 0.  By Newton's disk
+    a root lies within m (|p| + e_0) / (|p'| - d_0) (inf if |p'| <= d_0),
+    plus 2 units for the cut.  With real coefficients conj z shares z's.
+    """
+    m = len(coeffs) - 1
+    F = mp.prec + _FIXED_GUARD
+    s, b = _fixed_coeffs(coeffs, F)
+    keys = [(_fixed(z.real, F - s), _fixed(z.imag, F - s)) for z in map(mpc, roots)]
+    keys = [(x, abs(y)) if real else (x, y) for x, y in keys]
+    radii = {}
+    for x, y in set(keys):
+        a = isqrt(x * x + y * y) + 1
+        G = min(F, 128 + m * max(0, a.bit_length() - F))
+        c, pr, pi_, dr, di, e, d = F - G, 1 << F, 0, 0, 0, 0, 0
+        u, v, ag = x >> c, y >> c, (a >> c) + 4
+        for br, bi in b:
+            d = ((ag * d) >> G) + ((abs(dr) + abs(di)) >> (G - 1)) + (e >> c) + 6
+            dr, di = ((u * dr - v * di) >> G) + (pr >> c), ((u * di + v * dr) >> G)
+            di += pi_ >> c
+            e = ((a * e) >> F) + 4
+            k = x * (pr + pi_)
+            pr, pi_ = ((k - pi_ * (y + x)) >> F) + br, ((k + pr * (y - x)) >> F) + bi
+        num = m * (isqrt(pr * pr + pi_ * pi_) + 1 + e)
+        den = (isqrt(dr * dr + di * di) - d) << c
+        radii[x, y] = mp.inf
+        if den > 0:  # num / den + 2^(1 - F) as one fraction
+            t = mp.fdiv((num << F) + 2 * den, den << F, prec=53, rounding="u")
+            radii[x, y] = mp.ldexp(t, s)
+    return [radii[k] for k in keys]
+
+
 def _polish_and_residuals(coeffs, roots):
     polished = []
     residuals = []
@@ -412,7 +456,7 @@ def _sort_key(z):
 
 
 def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
-    """All roots of a monic polynomial, each with residual <= tol."""
+    """All roots of a monic polynomial, each with residual <= tol and a radius."""
     if not coeffs.monic_flag:
         raise InvalidParameter("find_roots requires a monic coefficient list")
     prec = op_precision(precision_bits, *coeffs.coeffs)
@@ -465,6 +509,7 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
         order = sorted(range(len(root_list)), key=lambda i: _sort_key(root_list[i]))
         zeros += [root_list[i] for i in order]
         residuals += [res_list[i] for i in order]
+        radii = [mpf(0)] * mult + (_radii(c, zeros[mult:], real) if root_list else [])
 
     return ZeroSet(
         zeros=tuple(zeros),
@@ -473,6 +518,7 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
         spec=coeffs.spec,
         start=start,
         sweeps=sweeps,
+        radii=tuple(radii),
     )
 
 

@@ -15,6 +15,7 @@ import time
 import pytest
 from mpmath import fprod, fsum, mp, mpc, mpf
 
+from szegolab import asymptotics
 from szegolab.asymptotics import (
     level_median,
     make_schedule,
@@ -156,14 +157,26 @@ def test_criterion_6_figure_three_level(tmp_path):
         assert (tmp_path / f"fig3_{suffix}").exists()
 
 
-def test_criterion_7_convergence_trends():
+def test_criterion_7_convergence_trends(monkeypatch):
     sched = make_schedule("generic", c=ap_real("0.1", 64))
-    reports = [
-        zero_distribution_report(
-            n, sched.alpha_at(n), M_curve=512, precision_bits=sched.precision_bits(n)
+    # the sup-norm screen leaves at most 5 full-precision evaluations per report
+    calls = []
+    evaluate = asymptotics.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "evaluate", counted)
+    reports = []
+    for n in (30, 60, 120):
+        calls.clear()
+        reports.append(
+            zero_distribution_report(
+                n, sched.alpha_at(n), M_curve=512, precision_bits=sched.precision_bits(n)
+            )
         )
-        for n in (30, 60, 120)
-    ]
+        assert len(calls) <= 5
     for a, b in zip(reports, reports[1:]):
         assert b.ks_theta < a.ks_theta
         assert b.origin_gap < a.origin_gap

@@ -1,5 +1,7 @@
 """Parameter schedules, convergence diagnostics, and extremality gaps."""
 
+from dataclasses import replace
+
 import pytest
 from mpmath import mp, mpf
 
@@ -13,13 +15,8 @@ from szegolab.asymptotics import (
     supnorm_extremality,
     zero_distribution_report,
 )
-from szegolab.errors import InvalidSchedule
-from szegolab.laguerre import (
-    LaguerreSpec,
-    evaluate,
-    monic_rescaled,
-    param_decomposition,
-)
+from szegolab.errors import InvalidParameter, InvalidSchedule
+from szegolab.laguerre import LaguerreSpec, evaluate, param_decomposition
 from szegolab.precision import (
     ap_real,
     default_precision,
@@ -125,11 +122,26 @@ def test_origin_extremality_exact_and_generic():
     assert gap(got, expected, 192) <= mpf(2) ** -150
 
 
-def test_supnorm_extremality_below_level():
-    n = 20
-    alpha = ap_real("-20.25", 256)
+def _scan_case(M=128):
+    """n = 20, alpha = -20.25 at 256 bits: zeros, the curve Gamma_(r_eff) with
+    M nodes, and the unscreened scan over every node but 0, 1 and M - 1."""
+    n, alpha = 20, ap_real("-20.25", 256)
     pd = param_decomposition(n, alpha, 256)
-    val = supnorm_extremality(n, alpha, trace_level_curve(pd.r_eff, 128, 256), 256)
+    curve = trace_level_curve(pd.r_eff, M, 256)
+    zs = contracted_zeros(n, alpha, 256)
+    spec = LaguerreSpec.contracted(n, alpha)
+    with workprec(op_precision(256, spec.alpha)):
+        full = max(
+            mp.e ** (-mp.re(z)) * abs(evaluate(spec, z, 256)) ** (mpf(1) / n)
+            for j, z in enumerate(curve.points)
+            if j not in (0, 1, M - 1)
+        )
+    return zs, curve, pd, full
+
+
+def test_supnorm_extremality_below_level():
+    zs, curve, pd, _ = _scan_case()
+    val = supnorm_extremality(zs, curve, 256)
     with workprec(256):
         assert val < mp.e ** (-pd.r_eff)
         assert val > mpf("0.5") * mp.e ** (-pd.r_eff)
@@ -148,38 +160,54 @@ def _count_evaluations(monkeypatch):
 
 
 def test_supnorm_extremality_scans_half_a_mirrored_curve(monkeypatch):
-    n, M = 20, 128
-    alpha = ap_real("-20.25", 256)
-    pd = param_decomposition(n, alpha, 256)
-    curve = trace_level_curve(pd.r_eff, M, 256)
+    M = 128
+    zs, curve, _, full = _scan_case(M)
     calls = _count_evaluations(monkeypatch)
-    half = supnorm_extremality(n, alpha, curve, 256)
+    half = supnorm_extremality(zs, curve, 256)
     # the screen evaluates only nodes that can hold the maximum, each once
     evaluated = [curve.points.index(z) for z in calls]
     assert all(2 <= j <= M // 2 for j in evaluated)
     assert len(set(evaluated)) == len(evaluated) < M / 8
-    spec = LaguerreSpec.contracted(n, alpha)
-    with workprec(op_precision(256, spec.alpha)):
-        full = max(
-            mp.e ** (-mp.re(z)) * abs(evaluate(spec, z, 256)) ** (mpf(1) / n)
-            for j, z in enumerate(curve.points)
-            if j not in (0, 1, M - 1)
-        )
     assert half == full
 
 
 def test_supnorm_extremality_unbounded_screen_evaluates_every_node(monkeypatch):
     # An infinite unit roundoff makes every bound infinite: every node
     # 2 .. M/2 is evaluated once, and the value is the screened one.
-    n, M = 20, 128
-    alpha = ap_real("-20.25", 256)
-    pd = param_decomposition(n, alpha, 256)
-    curve = trace_level_curve(pd.r_eff, M, 256)
-    screened = supnorm_extremality(n, alpha, curve, 256)
+    M = 128
+    zs, curve, _, _ = _scan_case(M)
+    screened = supnorm_extremality(zs, curve, 256)
     monkeypatch.setattr(szego, "_SHADOW_U", mp.inf)
     calls = _count_evaluations(monkeypatch)
-    assert supnorm_extremality(n, alpha, curve, 256) == screened
+    assert supnorm_extremality(zs, curve, 256) == screened
     assert [curve.points.index(z) for z in calls] == list(range(2, M // 2 + 1))
+
+
+@pytest.mark.parametrize("radii", ["overlapping", "infinite", "none"])
+def test_supnorm_extremality_without_certified_disks_scans_every_node(
+    radii, monkeypatch
+):
+    # Disks that overlap, a radius that is infinite, or a hand-built set with
+    # no radii certify nothing: every node 2 .. M/2 is evaluated exactly once
+    # and the value is the full scan's to the last bit.
+    M = 128
+    zs, curve, _, full = _scan_case(M)
+    if radii == "overlapping":
+        zs = replace(zs, radii=(mpf(1),) * len(zs))
+    elif radii == "infinite":
+        zs = replace(zs, radii=(mp.inf,) + zs.radii[1:])
+    else:
+        zs = ZeroSet(zs.zeros, zs.residuals, zs.origin_multiplicity, zs.spec)
+    calls = _count_evaluations(monkeypatch)
+    assert supnorm_extremality(zs, curve, 256) == full
+    assert [curve.points.index(z) for z in calls] == list(range(2, M // 2 + 1))
+
+
+def test_supnorm_extremality_needs_contracted_zeros():
+    curve = trace_level_curve(mpf(1), 16, 128)
+    for spec in (None, LaguerreSpec(4, mpf("-4.5"), mpf(1))):
+        with pytest.raises(InvalidParameter):
+            supnorm_extremality(ZeroSet((), (), 0, spec), curve, 128)
 
 
 def _schedule_point(kind, n, **params):
@@ -188,17 +216,21 @@ def _schedule_point(kind, n, **params):
 
 
 @pytest.mark.parametrize(
-    "n, point, flushes",
+    "n, point, tiny",
     [
         (60, lambda: (ap_real("-60.1", 512), 512), False),  # fig 2
         (30, lambda: _schedule_point("generic", 30, c="0.1"), False),
         (40, lambda: _schedule_point("exponential", 40, r="0.87"), False),
-        (22, lambda: _schedule_point("superexponential", 22), False),
+        (22, lambda: _schedule_point("superexponential", 22), True),
         (30, lambda: _schedule_point("superexponential", 30), True),
+        (120, lambda: _schedule_point("generic", 120, c="0.1"), False),
     ],
-    ids=["fig2-60", "generic-30", "exponential-40", "superexp-22", "superexp-30"],
+    ids=[
+        "fig2-60", "generic-30", "exponential-40", "superexp-22", "superexp-30",
+        "generic-120",
+    ],
 )
-def test_supnorm_screen_encloses_every_full_precision_value(n, point, flushes):
+def test_supnorm_screen_encloses_every_full_precision_value(n, point, tiny):
     alpha, bits = point()
     M = 64
     pd = param_decomposition(n, alpha, bits)
@@ -207,8 +239,10 @@ def test_supnorm_screen_encloses_every_full_precision_value(n, point, flushes):
         r_trace = +pd.r_eff
     curve = trace_level_curve(r_trace, M, trace_bits)
     nodes = curve.points[2 : M // 2 + 1]
-    spec = LaguerreSpec.contracted(n, alpha)
-    s, lower, upper = asymptotics._log_bounds(spec, nodes, curve.r, bits)
+    zs = contracted_zeros(n, alpha, bits)
+    s, lower, upper = asymptotics._log_bounds(zs, nodes, curve.r, bits)
+    assert all(hi < mp.inf for hi in upper)  # the disks are certified disjoint
+    spec = zs.spec
     prec = op_precision(bits, spec.alpha)
     with workprec(prec):
         values = [
@@ -219,12 +253,12 @@ def test_supnorm_screen_encloses_every_full_precision_value(n, point, flushes):
         lam = n * mp.log(n) - mp.log(mp.factorial(n)) + s * n * mp.log(2)
         for v, lo, hi in zip(values, lower, upper):
             assert mpf(lo) <= mp.log(v) - lam / n <= mpf(hi)
-        # whether some scaled coefficient lies below double range, so that the
-        # screen flushes it to 0
-        coeffs = monic_rescaled(spec, bits).coeffs
-        smallest = min(abs(mp.ldexp(c, s * (k - n))) for k, c in enumerate(coeffs))
-        assert (smallest < mpf(2) ** -1022) == flushes
-    assert supnorm_extremality(n, alpha, curve, bits) == max(values)
+        # whether every radius over 2^s lies below double range; the radii are
+        # rounded up, so none is 0
+        scaled = [mp.ldexp(r, -s) for r in zs.radii]
+        assert all(r > 0 for r in scaled)
+        assert all(r < mpf(2) ** -1022 for r in scaled) == tiny
+    assert supnorm_extremality(zs, curve, bits) == max(values)
 
 
 def test_zero_distribution_report_fields():

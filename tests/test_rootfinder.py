@@ -353,8 +353,7 @@ def test_fixed_horner_within_its_running_bound(name):
 
 def test_superexponential_scaled_coefficients_stay_nonzero():
     # The cluster's scaled coefficients span from about 1 down to 2^-660 at
-    # n = 22 (the double screen of asymptotics flushes such values to 0 from
-    # n = 30 on); on 2^-F none may round to 0.
+    # n = 22, far below double range; on 2^-F none may round to 0.
     sched = make_schedule("superexponential")
     bits = sched.precision_bits(22)
     coeffs = monic_rescaled(LaguerreSpec.contracted(22, sched.alpha_at(22)), bits)
@@ -363,6 +362,55 @@ def test_superexponential_scaled_coefficients_stay_nonzero():
     for (re, im), c in zip(b, reversed(coeffs.coeffs[:-1])):
         assert c != 0 and re != 0 and im == 0
     assert min(abs(re).bit_length() for re, _ in b) < F - 600
+
+
+def _radius_case(name):
+    if name == "complex":
+        return _monic_from_roots([mpc(complex(r)) for r in _COMPLEX_ROOTS], 192), 128
+    if name == "fig2":
+        return _horner_case(name)
+    kind, param, n = {
+        "exponential-40": ("exponential", {"r": "0.870"}, 40),
+        "generic-40": ("generic", {"c": "0.399"}, 40),
+        "superexp-22": ("superexponential", {}, 22),
+    }[name]
+    sched = make_schedule(kind, **{k: ap_real(v, 192) for k, v in param.items()})
+    bits = sched.precision_bits(n)
+    return monic_rescaled(LaguerreSpec.contracted(n, sched.alpha_at(n)), bits), bits
+
+
+@pytest.mark.parametrize(
+    "name", ["fig2", "exponential-40", "generic-40", "superexp-22", "complex"]
+)
+def test_every_zero_lies_within_its_radius(name):
+    # The reference root is the zero refined by up to 12 Newton steps on the
+    # same rounded coefficients at 4x the bits, until a step no longer moves
+    # it at that precision.  The radius must bound that distance (the
+    # residual |p/p'| in its place fails every case here), and the disks must
+    # be pairwise disjoint, so that each holds exactly one root.
+    coeffs, bits = _radius_case(name)
+    zs = find_roots(coeffs, bits)
+    assert len(zs.radii) == len(zs.zeros) == coeffs.degree
+    P = op_precision(bits, *coeffs.coeffs) + 16
+    with workprec(4 * P):
+        c = [mpc(a) for a in coeffs.coeffs]
+        for z, radius in zip(zs.zeros, zs.radii):
+            root = mpc(z)
+            for _ in range(12):
+                p, dp = rootfinding._horner_pair(c, root)
+                root -= p / dp
+                if abs(p / dp) <= abs(root) * mpf(2) ** (16 - 4 * P):
+                    break
+            assert abs(root - z) <= radius < mp.inf
+        for i, (z, radius) in enumerate(zip(zs.zeros, zs.radii)):
+            for w, other in zip(zs.zeros[i + 1 :], zs.radii[i + 1 :]):
+                assert abs(z - w) > radius + other
+
+
+def test_deflated_origin_roots_have_radius_zero():
+    zs = find_roots(_coeff_list(0, 0, -1, 0, 1), 128)
+    assert zs.origin_multiplicity == 2
+    assert zs.radii[:2] == (0, 0) and all(0 < r < mpf(2) ** -100 for r in zs.radii[2:])
 
 
 def test_full_aberth_on_complex_coefficients():
