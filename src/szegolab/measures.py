@@ -6,9 +6,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, fzero, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import InvalidParameter, SingularEvaluation
+from .fixed import gaussian_ints, to_fixed
 from .precision import mantissa_bits, op_precision
 
 # Weight-sum slack: weights (1/M, or the graded (1 - cos s_j)/M) are rounded
@@ -88,39 +89,6 @@ def _sq_dist(a, b) -> mpf:
     return dx * dx + dy * dy
 
 
-def _parts(p) -> tuple:
-    """The mpf tuples (sign, man, exp, bc) of Re p and Im p."""
-    return p._mpc_ if isinstance(p, mpc) else (p._mpf_, fzero)
-
-
-def _gaussian_ints(points) -> tuple:
-    """(X, Y, e) with points[j] = (X[j] + i Y[j]) 2^e exactly.
-
-    An mpf is man * 2^exp, so e, the least exponent of a nonzero
-    coordinate, turns every finite coordinate into an int with no rounding.
-    """
-    e = min((c[2] for p in points for c in _parts(p) if c[1]), default=0)
-
-    def to_int(c):
-        sign, man, exp, _ = c
-        v = man << (exp - e) if man else 0
-        return -v if sign else v
-
-    xs, ys = [], []
-    for p in points:
-        re, im = _parts(p)
-        xs.append(to_int(re))
-        ys.append(to_int(im))
-    return xs, ys, e
-
-
-def _floor_int(floor, e) -> int:
-    """The largest int S with S 4^e <= floor, for a floor >= 0."""
-    _, man, exp, _ = mpf(floor)._mpf_
-    k = exp - 2 * e
-    return man << k if k >= 0 else man >> -k
-
-
 def _mirror_order(m):
     """0, 1, m - 1, 2, m - 2, ...: node j next to its mirror node m - j."""
     yield 0
@@ -139,7 +107,7 @@ def _log_pair_sum(zx, zy, xs, ys, weights, order, e, floor):
     """sum_j w_j log|z - x_j|^2 over j in order, at the working precision.
 
     z = (zx + i zy) 2^e and x_j = (xs[j] + i ys[j]) 2^e are Gaussian
-    integers on one scale (_gaussian_ints), so each squared distance
+    integers on one scale (fixed.gaussian_ints), so each squared distance
     dx^2 + dy^2 is an exact int.  Runs of equal weights multiply their
     squared distances into one product, which takes one mp.log per _BLOCK
     factors or at the next weight change; the product is kept to
@@ -185,9 +153,9 @@ def log_potential(mu: DiscreteMeasure, z, precision_bits: int) -> mpf:
         zc = mpc(z)
         # the nodes are visited in _mirror_order, so the equal weights of
         # mirrored nodes j and M - j fall in one run and share one log
-        xs, ys, e = _gaussian_ints((*mu.points, zc))
+        xs, ys, e = gaussian_ints((*mu.points, zc))
         zx, zy = xs.pop(), ys.pop()
-        floor = _floor_int(SINGULAR_DISTANCE**2, e)
+        floor = to_fixed(SINGULAR_DISTANCE**2, -2 * e)
         order = _mirror_order(len(mu))
         total = _log_pair_sum(zx, zy, xs, ys, mu.weights, order, e, floor)
         if total is None:

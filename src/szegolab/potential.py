@@ -41,13 +41,8 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .errors import InvalidParameter, InvalidTestPoint
-from .measures import (
-    DiscreteMeasure,
-    _gaussian_ints,
-    _log_pair_sum,
-    _sq_dist,
-    log_potential,
-)
+from .fixed import gaussian_ints
+from .measures import DiscreteMeasure, _log_pair_sum, _sq_dist, log_potential
 from .precision import op_precision, workprec
 from .szego import (
     _SHADOW_U,
@@ -293,7 +288,7 @@ def weighted_energy(mu: DiscreteMeasure, precision_bits: int = 128) -> EnergyRes
     prec = op_precision(precision_bits, *pts)
     with workprec(prec + 16):
         support, weights = zip(*((x, w) for x, w in zip(pts, mu.weights) if w))
-        xs, ys, e = _gaussian_ints(support)
+        xs, ys, e = gaussian_ints(support)
         m = len(support)
         rows = []
         for i in range(m - 1):

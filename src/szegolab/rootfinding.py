@@ -63,6 +63,7 @@ from typing import NamedTuple
 from mpmath import mp, mpc, mpf
 
 from .errors import DegenerateParameter, InvalidParameter, NonConvergence
+from .fixed import cdiv, cmul, to_fixed, to_mpc
 from .laguerre import (
     CoeffList,
     LaguerreSpec,
@@ -231,14 +232,6 @@ def _newton_polygon_starts(coeffs, offset_turns):
     return starts
 
 
-def _fixed(x, e):
-    """x 2^e truncated to an int, for a finite mpf x."""
-    sign, man, exp, _ = x._mpf_
-    k = exp + e
-    v = man << k if k >= 0 else man >> -k
-    return -v if sign else v
-
-
 def _fixed_coeffs(coeffs, F):
     """(s, b): the scale 2^s, 2^(s m) <= |c_0| < 2^((s + 1) m) up to one
     step of s, and the coefficients b_k = c_k 2^(s(k - m)) of the monic
@@ -254,7 +247,7 @@ def _fixed_coeffs(coeffs, F):
     b = []
     for k in range(m - 1, -1, -1):
         c, e = mpc(coeffs[k]), F + s * (k - m)
-        b.append((_fixed(c.real, e), _fixed(c.imag, e)))
+        b.append((to_fixed(c.real, e), to_fixed(c.imag, e)))
     return s, b
 
 
@@ -290,11 +283,11 @@ def _sweeps(coeffs, starts, npairs, tol):
     F = mp.prec + _FIXED_GUARD
     s, b = _fixed_coeffs(coeffs, F)
     zs = [mpc(z) for z in starts]
-    xr = [_fixed(z.real, F - s) for z in zs]
-    xi = [_fixed(z.imag, F - s) for z in zs]
+    xr = [to_fixed(z.real, F - s) for z in zs]
+    xi = [to_fixed(z.imag, F - s) for z in zs]
     sq = [y * y for y in xi]
     one2, two2 = 1 << 2 * F, 1 << 2 * F + 1
-    tt = _fixed(tol, F - s) ** 2
+    tt = to_fixed(tol, F - s) ** 2
     n = len(zs)
     for sweep in range(1, SWEEP_CAP + 1):
         small = True
@@ -327,13 +320,11 @@ def _sweeps(coeffs, starts, npairs, tol):
             if i < npairs:
                 si -= (1 << 2 * F - 1) // y  # 1/(z - conj z)
             # The Aberth step p / (p' - p S), one complex division.
-            qr = dr - ((pr * sr - pi_ * si) >> F)
-            qi = di - ((pr * si + pi_ * sr) >> F)
+            qr, qi = cmul(pr, pi_, sr, si, F)
+            qr, qi = dr - qr, di - qi
             if not (qr or qi):
                 qr, qi = dr, di
-            q2 = qr * qr + qi * qi
-            hr = ((pr * qr + pi_ * qi) << F) // q2
-            hi = ((pi_ * qr - pr * qi) << F) // q2
+            hr, hi = cdiv(pr, pi_, qr, qi, F)
             if small:
                 p2 = (pr * pr + pi_ * pi_) << 2 * F
                 small = hr * hr + hi * hi < tt and p2 < tt * (dr * dr + di * di)
@@ -341,7 +332,7 @@ def _sweeps(coeffs, starts, npairs, tol):
             sq[i] = xi[i] * xi[i]
         if small:
             break
-    roots = [mpc(mp.ldexp(x, s - F), mp.ldexp(y, s - F)) for x, y in zip(xr, xi)]
+    roots = [to_mpc(x, y, F - s) for x, y in zip(xr, xi)]
     return roots, small, sweep
 
 
@@ -384,7 +375,7 @@ def _radii(coeffs, roots, real):
     m = len(coeffs) - 1
     F = mp.prec + _FIXED_GUARD
     s, b = _fixed_coeffs(coeffs, F)
-    keys = [(_fixed(z.real, F - s), _fixed(z.imag, F - s)) for z in map(mpc, roots)]
+    keys = [(to_fixed(z.real, F - s), to_fixed(z.imag, F - s)) for z in map(mpc, roots)]
     keys = [(x, abs(y)) if real else (x, y) for x, y in keys]
     radii = {}
     for x, y in set(keys):
@@ -394,8 +385,8 @@ def _radii(coeffs, roots, real):
         u, v, ag = x >> c, y >> c, (a >> c) + 4
         for br, bi in b:
             d = ((ag * d) >> G) + ((abs(dr) + abs(di)) >> (G - 1)) + (e >> c) + 6
-            dr, di = ((u * dr - v * di) >> G) + (pr >> c), ((u * di + v * dr) >> G)
-            di += pi_ >> c
+            dr, di = cmul(u, v, dr, di, G)
+            dr, di = dr + (pr >> c), di + (pi_ >> c)
             e = ((a * e) >> F) + 4
             k = x * (pr + pi_)
             pr, pi_ = ((k - pi_ * (y + x)) >> F) + br, ((k + pr * (y - x)) >> F) + bi

@@ -12,10 +12,14 @@ LevelCurve rejects nodes that are not mirrored, so callers may scan half
 of any curve.  trace_level_curve samples the equispaced theta_j = 2 pi j / M;
 _theta and _half_node build theta_j and node j one index at a time, so a
 caller that needs only some nodes gets each one to the last bit.
-_w0 evaluates W_0 by mpmath's Halley iteration and stop rule from a close
-seed: the double W_0(x), or the branch series where x is near -1/e.
-_shadow_half gives every equispaced node as a double, with a radius
-certified by Kantorovich's theorem to reach the full-precision node.
+_w0 evaluates W_0 for every node, the crossings included, by the Halley
+iteration and stop rule of mpmath's lambertw from a close seed (the double
+W_0(x), or the branch series where x is near -1/e), run on Python ints
+on a power-of-two grid (szegolab.fixed) instead of mpc numbers, whose
+per-operation overhead costs more than their bits at these lengths.
+_max_residual checks the rounded nodes on the same ints.  _shadow_half
+gives every equispaced node as a double, with a radius certified by
+Kantorovich's theorem to reach the full-precision node.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from math import isqrt
 
 from mpmath import fp, mp, mpc, mpf
 
 from .errors import InvalidParameter, NonConvergence
+from .fixed import cdiv, cexp, cmul, to_fixed, to_mpc
 from .precision import op_precision, workprec
 
 DEFAULT_TRACE_PRECISION = 192
@@ -126,50 +132,75 @@ def check_node_count(M) -> None:
 
 
 def _w0(x):
-    """W_0(x) at the ambient precision prec, by Halley's iteration.
+    """W_0(x) for |x| <= 1/e at the ambient precision prec, by Halley's
+    iteration on Python ints.
 
-    The iteration, its working precision prec + 20 and its stop rule
-    mag(w_new - w) <= mag(w_new) - (prec + 15) are mpmath's lambertw's; the
-    seed is better.  Away from the branch point -1/e it is the double
-    fp.lambertw(x), good to about 1e-16, so three steps finish at 192 bits
-    where lambertw's rough seed takes about six.  Where e x + 1 cancels
-    c > _BRANCH_BITS bits, a double no longer resolves it and the seed is the
-    branch series -1 + p - p^2/3 + 11 p^3/72, p = sqrt(2 (e x + 1))
-    (Corless et al. 1996).  As in lambertw, the precision rises by c/2 bits,
-    or the ill-conditioned steps near -1/e cannot meet the stop rule.  Where
-    e x + 1 rounds to 0, x is the branch point and W_0(x) = -1.  Raises
+    The iteration and its stop rule mag(w_new - w) <= mag(w_new) -
+    (prec + 15), mag read from the larger part, are mpmath's lambertw's; the
+    seed is better.  Away from the
+    branch point -1/e it is the double fp.lambertw(x), good to about 1e-16,
+    so three steps finish at 208 bits where lambertw's seed takes about six.
+    Where e x + 1 cancels c > _BRANCH_BITS bits, the seed is the branch
+    series -1 + p - p^2/3 + 11 p^3/72, p = sqrt(2 (e x + 1)) (Corless et al.
+    1996), and as in lambertw the precision rises by c/2 bits, or the
+    ill-conditioned steps near -1/e cannot meet the stop rule.  Where e x + 1
+    rounds to 0, x is the branch point and W_0(x) = -1.  Raises
     NonConvergence after _W0_MAX_ITER steps, where lambertw only warns.
+
+    With k = mag(x) the steps solve v e^(2^k v) = x / 2^k for v = w / 2^k,
+    of order 1 however tiny x is (|v| >= 1/(4 e)): v, x / 2^k, e^w (libmp's
+    exp_fixed times cos_sin_fixed) and each product and quotient are ints on
+    2^-F, F = prec + 28 + c/2, lambertw's working precision and 8 guard
+    bits.  Each errs by at most a few tens of units of 2^-F, far below the
+    stop rule's 2^-(prec + 15) |v|, so the last iterate is as close to the
+    root as lambertw's; it is rounded once to prec bits.  A real x stays
+    exactly real.
     """
     prec = mp.prec
     d = mp.e * x + 1
     if not d:
         return mpc(-1)
     cancel = max(0, -mp.mag(d))
-    with workprec(prec + 20 + cancel // 2):
-        if cancel > _BRANCH_BITS:
+    F = prec + 28 + cancel // 2
+    k = mp.mag(x)
+    if cancel > _BRANCH_BITS:
+        with workprec(F):
             p = mp.sqrt(2 * d)
             w = -1 + p * (1 + p * (mpf(-1) / 3 + p * mpf(11) / 72))
-        else:
-            w = mpc(fp.lambertw(complex(x)))
-        for _ in range(_W0_MAX_ITER):
-            ew = mp.exp(w)
-            wew = w * ew
-            wewz = wew - x
-            wn = w - wewz / (wew + ew - (w + 2) * wewz / (2 * w + 2))
-            if mp.mag(wn - w) <= mp.mag(wn) - (prec + 15):
-                break
-            w = wn
-        else:
-            raise NonConvergence(
-                f"W_0 Halley iteration hit {_W0_MAX_ITER} steps at x = {x}", best=wn
-            )
-    return +wn
+    else:
+        w = fp.lambertw(complex(x))
+    vr, vi = to_fixed(w.real, F - k), to_fixed(w.imag, F - k)
+    xr, xi = to_fixed(x.real, F - k), to_fixed(x.imag, F - k)
+    one = 1 << F
+    for _ in range(_W0_MAX_ITER):
+        # w = 2^k v; with A = 1 + w, Halley's step on w e^w - x, divided by
+        # 2^k, is v - g / (e^w A - 2^k (1 + A) g / (2 A)), g = v e^w - x / 2^k.
+        wr, wi = vr >> -k, vi >> -k
+        er, ei = cexp(wr, wi, F)
+        gr, gi = cmul(vr, vi, er, ei, F)
+        gr, gi = gr - xr, gi - xi
+        ar, ai = one + wr, wi
+        tr, ti = cmul(one + ar, ai, gr, gi, F)
+        tr, ti = cdiv(tr >> (1 - k), ti >> (1 - k), ar, ai, F)
+        dr, di = cmul(er, ei, ar, ai, F)
+        hr, hi = cdiv(gr, gi, dr - tr, di - ti, F)
+        vr, vi = vr - hr, vi - hi
+        step, size = max(abs(hr), abs(hi)), max(abs(vr), abs(vi))
+        if step.bit_length() <= size.bit_length() - (prec + 15):
+            return to_mpc(vr, vi, F - k)
+    raise NonConvergence(
+        f"W_0 Halley iteration hit {_W0_MAX_ITER} steps at x = {x}",
+        best=to_mpc(vr, vi, F - k),
+    )
 
 
 def _curve_point(r, theta):
     # -W_0(-e^(-1-r+i theta)) at the caller's working precision.  At
     # r = theta = 0 the argument is the branch point -1/e before rounding,
-    # and the node the corner 1.
+    # and the node the corner 1.  The argument is mp.exp's, not an int one:
+    # near -1/e, W_0 scales a last-bit change of it by up to 2^(c/2), and
+    # an int e^(i theta) rounds differently from mpc_exp on about 3 % of
+    # nodes.
     if not r and not theta:
         return mpc(1)
     return -_w0(-mp.exp(-1 - r + 1j * theta))
@@ -192,8 +223,11 @@ def _curve_point(r, theta):
 #   so x_j / 2^k is within u (3.001 theta_j + 4.001) + (r + 5) 2^(2-P) of
 #   its double, relatively; u (4 theta_j + 5) + (r + 5) 2^(2-P) covers it.
 # _w0_double then bounds the root of v e^(2^k v) = x_j / 2^k by Kantorovich's
-# theorem, and the closed-form node, which meets mpmath's stop rule at
-# P >= 80 bits, is within 2^-77 |v| of that root: R_j adds u |v| for it.
+# theorem.  The closed-form node is within 2^-77 |v| of that root, and
+# R_j adds u |v| for it: _w0 stops once its Halley step on the same scaled
+# equation is below 2^-(P + 13) |v|, with every step's arithmetic on a grid
+# 2^-(P + 28) fine, so its last iterate is within about 2^-(P + 13) |v| of
+# the root at P >= 80 bits, and rounding it to P bits adds 2^(1-P) |v|.
 # Terms scaled by 2^k may underflow, each by at most 2^-1075, far below
 # every u-sized margin here.  Nodes 0 and M/2 are the crossings rounded to
 # nearest, within u |z| of them.
@@ -337,14 +371,34 @@ def _mirrored_curve(r, thetas, precision_bits) -> LevelCurve:
         ]
         # conjugate() rounds to the ambient precision, the nodes' own here.
         points = half + [z.conjugate() for z in reversed(half[1:-1])]
-        level = mp.e ** (-r)
         return LevelCurve(
             r=r,
             samples=tuple(zip(thetas, points)),
-            level=level,
-            max_residual=max(abs(abs(_phi(z)) - level) for z in half),
+            level=mp.e ** (-r),
+            max_residual=_max_residual(r, half),
             precision_bits=precision_bits,
         )
+
+
+def _max_residual(r, nodes):
+    """max ||phi(z)| - e^(-r)| over the rounded nodes, at the ambient prec.
+
+    |phi(z)| = |z| e^(1 - Re z), so with e^(-1-r) = a 2^k, a in [1/2, 1),
+    the residual is e 2^k ||z / 2^k| e^(-Re z) - a|.  Each node is cut to
+    ints on 2^-F, F = prec + 28, where |z / 2^k| (isqrt), e^(-Re z)
+    (exp_fixed) and their product err by a few units, far below the
+    residual, about 2^-prec, that rounding leaves in a node.
+    """
+    F = mp.prec + 28
+    with workprec(F):
+        a, k = mp.frexp(mp.exp(-1 - r))
+    a = to_fixed(a, F)
+    worst = 0
+    for z in nodes:
+        x, y = to_fixed(z.real, F - k), to_fixed(z.imag, F - k)
+        size = (isqrt(x * x + y * y) * cexp(-(x >> -k), 0, F)[0]) >> F
+        worst = max(worst, abs(size - a))
+    return mp.e * mp.ldexp(worst, k - F)
 
 
 def locate(z, curve: LevelCurve) -> RegionTag:

@@ -8,6 +8,7 @@ from mpmath import mp, mpc, mpf
 from szegolab import rootfinding
 from szegolab.asymptotics import make_schedule
 from szegolab.errors import InvalidParameter, NonConvergence
+from szegolab.fixed import to_fixed
 from szegolab.laguerre import (
     CoeffList,
     LaguerreSpec,
@@ -329,7 +330,7 @@ def test_fixed_horner_within_its_running_bound(name):
     with workprec(P):
         points = list(zs[::3]) + [z * (1 + mpf(2) ** -20 * 1j) for z in zs[1::5]]
         points += [abs(zs[0]) * mp.expj(k) for k in range(4)]
-        ints = [(rootfinding._fixed(z.real, F - s), rootfinding._fixed(z.imag, F - s)) for z in points]
+        ints = [(to_fixed(z.real, F - s), to_fixed(z.imag, F - s)) for z in points]
     worst = 0
     with workprec(2 * F + 64):
         scaled = [mpc(c) for c in coeffs.coeffs]

@@ -274,6 +274,50 @@ def test_w0_raises_nonconvergence_at_its_cap(monkeypatch):
         assert gap(-err.value.best, z, PREC) <= mpf("1e-40")
 
 
+@pytest.mark.parametrize("r, theta", [("0", "1e-30"), ("1e-12", "0"), ("0.5", "3")])
+def test_w0_cap_carries_the_last_iterate(monkeypatch, r, theta):
+    # The branch series seeds r = 0, theta = 1e-30 (e x + 1 cancels about
+    # 100 bits) and the real r = 1e-12, theta = 0 (about 40); the double
+    # seeds theta = 3.  One step meets no stop rule at 208 bits, and the
+    # error carries that step's iterate.
+    z = curve_point(r, mpf(theta), PREC)
+    monkeypatch.setattr(szego, "_W0_MAX_ITER", 1)
+    with pytest.raises(NonConvergence) as err:
+        curve_point(r, mpf(theta), PREC)
+    with workprec(PREC + 16):
+        assert gap(-err.value.best, z, PREC) <= mpf("1e-40")
+
+
+@pytest.mark.parametrize("P", [80, 208, 528, 1088])
+@pytest.mark.parametrize("r", ["0", "1e-40", "1e-12", "0.3", "1", "22", "800", "1e300"])
+def test_nodes_match_lambertw_at_twice_the_precision(r, P):
+    # Each node at P bits lies within 2^(1-P) of W_0 of its own P-bit
+    # argument, relatively, as lambertw gives it at 2P + 64 bits: the
+    # rounding to P bits and nothing more.  The graded angles s - sin s,
+    # s = 2 pi j / 4096, j = 1, 2, 5, and 1e-30 lie near the r = 0 corner,
+    # where e x + 1 cancels more than _BRANCH_BITS bits and the branch
+    # series seeds the iteration.  Where e x + 1 rounds to 0 at P bits, the
+    # node is the corner 1.
+    M = 4096
+    branch = 0
+    with workprec(P):
+        r = mpf(r)
+        thetas = [s - mp.sin(s) for s in (2 * mp.pi * j / M for j in (1, 2, 5, 40))]
+        thetas += [mpf("1e-30"), mpf("0.5"), mpf(2), mp.pi - mpf("1e-9")]
+        for theta in thetas:
+            z = szego._curve_point(r, theta)
+            x = -mp.exp(-1 - r + 1j * theta)
+            d = mp.e * x + 1
+            if not d:
+                assert z == 1
+                continue
+            branch += -mp.mag(d) > szego._BRANCH_BITS
+            with workprec(2 * P + 64):
+                ref = -mp.lambertw(x)
+                assert abs(z - ref) <= abs(ref) * mpf(2) ** (1 - P), theta
+    assert (branch > 0) == (r < mpf("1e-6"))
+
+
 @pytest.mark.parametrize("r", ["0", "1e-12", "0.3", "1", "30", "800"])
 def test_double_nodes_lie_within_their_radii(r):
     # Every double of node j / 2^k, j <= M/2, of trace_level_curve reaches
