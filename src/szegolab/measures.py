@@ -9,7 +9,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import InvalidParameter, SingularEvaluation
-from .fixed import gaussian_ints, to_fixed
+from .fixed import gaussian_ints, log as fixed_log, to_fixed
 from .precision import mantissa_bits, op_precision
 
 # Weight-sum slack: weights (1/M, or the graded (1 - cos s_j)/M) are rounded
@@ -65,6 +65,15 @@ class DiscreteMeasure:
         """
         return max(mantissa_bits(p) for p in self.points)
 
+    @cached_property
+    def _support_ints(self) -> tuple:
+        """The support as Gaussian ints on one scale, fixed.gaussian_ints.
+
+        Converting the support costs about a third of a log_potential call,
+        and it is the same at every point.
+        """
+        return gaussian_ints(self.points)
+
     def total_mass(self) -> mpf:
         with mp.workprec(max(64, *(mantissa_bits(w) for w in self.weights))):
             return mp.fsum(self.weights)
@@ -75,11 +84,7 @@ class DiscreteMeasure:
 SINGULAR_DISTANCE = mpf("1e-30")
 
 # Exact squared distances multiplied into one product before its single log.
-# The running product is truncated to prec + _GUARD bits after each multiply,
-# so a block's at most 63 truncations leave its relative error below
-# 63 * 2^-(prec + 15) < 2^-(prec + 9) before it is rounded once to prec bits.
 _BLOCK = 64
-_GUARD = 16
 
 
 def _sq_dist(a, b) -> mpf:
@@ -98,28 +103,30 @@ def _mirror_order(m):
             yield m - j
 
 
-def _block_log(man, exp, prec) -> mpf:
-    """mp.log of man * 2^exp, rounded once to prec bits before the log."""
-    return mp.log(mp.make_mpf(from_man_exp(man, exp, prec, round_nearest)))
-
-
 def _log_pair_sum(zx, zy, xs, ys, weights, order, e, floor):
-    """sum_j w_j log|z - x_j|^2 over j in order, at the working precision.
+    """sum_j w_j log|z - x_j|^2 over j in order, rounded once to the working
+    precision P.
 
     z = (zx + i zy) 2^e and x_j = (xs[j] + i ys[j]) 2^e are Gaussian
     integers on one scale (fixed.gaussian_ints), so each squared distance
     dx^2 + dy^2 is an exact int.  Runs of equal weights multiply their
-    squared distances into one product, which takes one mp.log per _BLOCK
-    factors or at the next weight change; the product is kept to
-    prec + _GUARD bits, so the argument of each log errs by less than
-    2^-(prec + 9) relative before its one rounding.  Zero weights add
+    squared distances into one product, up to _BLOCK factors or to the next
+    weight change.  The sum runs on 2^-F, F = P + G, G = 16 + bits(n) for
+    the n = len(xs) points.  The product is cut to F + 7 bits after each
+    multiply, so its at most 63 cuts move its log L_b by less than one unit
+    of 2^-F, and fixed.log takes L_b to within 1.01 more.  Block b then adds
+    its weight cut to W_b = floor(w_b 2^F) times the int of its log; that sum
+    is exact and is rounded once.  So before the rounding the result errs by
+    less than 2.01 w_b + |L_b| units of 2^-F per block, at most
+    (2.01 + sum_j |log|z - x_j|^2|) 2^-F for weights summing to at most 1,
+    below 2^-(P + 15) (1 + max_j |log|z - x_j|^2|).  Zero weights add
     nothing.  Returns None when some dx^2 + dy^2 <= floor, an int on the
     same scale, zero weights included, so each caller raises its own error;
     that comparison is exact.
     """
-    prec = mp.prec
-    keep = prec + _GUARD
-    terms = []
+    F = mp.prec + 16 + len(xs).bit_length()
+    keep = F + 7
+    total = 0
     run_w, prod, shift, count = None, 0, 0, 0
     for j in order:
         dx = xs[j] - zx
@@ -128,7 +135,7 @@ def _log_pair_sum(zx, zy, xs, ys, weights, order, e, floor):
         if s <= floor:
             return None
         w = weights[j]
-        if 0 < count < _BLOCK and (w is run_w or w == run_w):
+        if 0 < count < _BLOCK and w._mpf_ == run_w._mpf_:
             prod *= s
             extra = prod.bit_length() - keep
             if extra > 0:
@@ -137,11 +144,11 @@ def _log_pair_sum(zx, zy, xs, ys, weights, order, e, floor):
             count += 1
         elif w:
             if count:
-                terms.append(run_w * _block_log(prod, shift + 2 * e * count, prec))
+                total += to_fixed(run_w, F) * fixed_log(prod, shift + 2 * e * count, F)
             run_w, prod, shift, count = w, s, 0, 1
     if count:
-        terms.append(run_w * _block_log(prod, shift + 2 * e * count, prec))
-    return mp.fsum(terms)
+        total += to_fixed(run_w, F) * fixed_log(prod, shift + 2 * e * count, F)
+    return mp.make_mpf(from_man_exp(total, -2 * F, mp.prec, round_nearest))
 
 
 def log_potential(mu: DiscreteMeasure, z, precision_bits: int) -> mpf:
@@ -151,10 +158,15 @@ def log_potential(mu: DiscreteMeasure, z, precision_bits: int) -> mpf:
     prec = max(op_precision(precision_bits, z), mu._point_bits)
     with mp.workprec(prec):
         zc = mpc(z)
+        # z and the support on the finer of their two scales
+        xs, ys, e = mu._support_ints
+        (zx,), (zy,), ez = gaussian_ints((zc,))
+        d = min(e, ez)
+        xs = [x << (e - d) for x in xs]
+        ys = [y << (e - d) for y in ys]
+        zx, zy, e = zx << (ez - d), zy << (ez - d), d
         # the nodes are visited in _mirror_order, so the equal weights of
         # mirrored nodes j and M - j fall in one run and share one log
-        xs, ys, e = gaussian_ints((*mu.points, zc))
-        zx, zy = xs.pop(), ys.pop()
         floor = to_fixed(SINGULAR_DISTANCE**2, -2 * e)
         order = _mirror_order(len(mu))
         total = _log_pair_sum(zx, zy, xs, ys, mu.weights, order, e, floor)

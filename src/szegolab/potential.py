@@ -18,9 +18,10 @@ The energy, Leja and potential sums multiply squared distances
 dx^2 + dy^2, with no square root, into products.  weighted_energy and
 log_potential share the pair kernel measures._log_pair_sum: it converts the
 points once to Gaussian integers on one power-of-two scale, so every
-squared distance is an exact int, keeps each block of up to 64 equal-weight
-factors to 16 guard bits (relative error below 2^-(prec + 9)), and rounds
-the block once before its single log.  weighted_leja keeps
+squared distance is an exact int, multiplies blocks of up to 64
+equal-weight factors, and adds each block's fixed-point log times its
+weight as ints, rounding the total once.  harmonic_moments and
+pullback_density run on szegolab.fixed ints too.  weighted_leja keeps
 omega^(2k) prod |z - z_j|^2 per grid node as an mpf product and takes a
 single log at the end.  It picks each greedy point through a
 double-precision shadow of the products' logs, whose running rounding-error
@@ -39,9 +40,11 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
+from mpmath.libmp.libelefun import pi_fixed
 
 from .errors import InvalidParameter, InvalidTestPoint
-from .fixed import gaussian_ints
+from .fixed import cmul, gaussian_ints, to_fixed, to_mpc
 from .measures import DiscreteMeasure, _log_pair_sum, _sq_dist, log_potential
 from .precision import op_precision, workprec
 from .szego import (
@@ -174,34 +177,80 @@ def pullback_density(curve: LevelCurve) -> tuple:
     honest consistency check rather than the tautology obtained from the
     analytic z' = i w / phi'(z) (which reduces to 1/2pi identically).  At
     the r = 0 corner node the (1-z) factor vanishes and the computed
-    density is 0, the continuity limit being 1/2pi.
+    density is exactly 0, the continuity limit being 1/2pi.
+
+    The density is d = Im[(1 - z) dz conj z] / (2 pi dtheta |z|^2) for the
+    differences dz and dtheta, so it depends on the scale-free dz / z only.
+    The nodes and 1 are Gaussian ints on one scale 2^e (fixed.gaussian_ints)
+    and the thetas ints on 2^-F, F >= P + 24 for the curve's P bits, so the
+    numerator, |z|^2 and dtheta are exact ints, but for the 2 pi that the
+    two end nodes add.  pi is libmp's pi_fixed on 2^-F, within 1.01 units,
+    and one division of the two ints, rounded once to P + 16 bits, gives d.
+    Before that rounding d errs by less than 1.02 |d| (1/pi + 2/dtheta)
+    units of 2^-F, the 2/dtheta at the two end nodes only.
     """
-    m = len(curve.samples)
-    prec = curve.precision_bits
-    with workprec(prec + 16):
-        two_pi = 2 * mp.pi
-        out = []
-        pts = curve.points
-        thetas = curve.thetas
-        for j in range(m):
-            z = pts[j]
-            t_prev = thetas[j - 1] - (two_pi if j == 0 else 0)
-            t_next = thetas[(j + 1) % m] + (two_pi if j == m - 1 else 0)
-            dz = (pts[(j + 1) % m] - pts[j - 1]) / (t_next - t_prev)
-            val = (1 - z) / z * dz / (2j * mp.pi)
-            out.append(mp.re(val))
+    m = len(curve.points)
+    xs, ys, e = gaussian_ints((*curve.points, mpf(1)))
+    one = xs.pop()
+    ys.pop()
+    ts, _, et = gaussian_ints(curve.thetas)
+    F = max(-et, curve.precision_bits + 24)
+    ts = [t << (F + et) for t in ts]
+    pi = pi_fixed(F)
+    # wrap one node around at each end
+    ts = [ts[-1] - 2 * pi, *ts, ts[0] + 2 * pi]
+    xs = [xs[-1], *xs, xs[0]]
+    ys = [ys[-1], *ys, ys[0]]
+    prec = curve.precision_bits + 16
+    out = []
+    for j in range(1, m + 1):
+        x, y = xs[j], ys[j]
+        dx, dy = xs[j + 1] - xs[j - 1], ys[j + 1] - ys[j - 1]
+        ar, ai = one - x, -y
+        tr, ti = ar * dx - ai * dy, ar * dy + ai * dx
+        # d = n 2^(3e) / (2 (pi 2^-F) (dtheta 2^-F) |z|^2 2^(2e))
+        num = from_man_exp(ti * x - tr * y, e + 2 * F - 1)
+        den = from_int(pi * (ts[j + 1] - ts[j - 1]) * (x * x + y * y))
+        out.append(mp.make_mpf(mpf_div(num, den, prec, round_nearest)))
     return tuple(out)
 
 
 def harmonic_moments(mu: DiscreteMeasure, k_max: int, precision_bits: int = 192):
-    """Discrete moments sum_i w_i x_i^k for k = 0..k_max."""
-    prec = op_precision(precision_bits, *mu.points)
+    """Discrete moments sum_i w_i x_i^k for k = 0..k_max, as mpc.
+
+    The n points are scaled by 2^s >= max |x_i| (mp.mag) and cut toward zero
+    to u_i on 2^-F, F = P + G, G = 16 + 2 k_max + bits(n) for the working
+    precision P.  Each point keeps one running product p_i = u_i^k, one
+    fixed.cmul per term, and its weight cut to W_i = floor(w_i 2^F).  As
+    |u_i| <= 1 and each cut and product errs by less than sqrt(2) units of
+    2^-F, p_i errs by less than 2 sqrt(2) k < 3 k units and the term W_i p_i
+    by less than 3 k w_i + 1.  The sum over i is exact, so moment k errs by
+    less than (3 k W + n) 2^(k s - F), W = sum_i w_i, before it is rounded
+    once to P bits.  A point below the real axis runs its product on its
+    conjugate, so conjugate points with equal weights cancel exactly in the
+    imaginary part.  k_max must be an int >= 0.
+    """
+    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
+        raise InvalidParameter(f"k_max must be an int >= 0, got {k_max!r}")
+    pts = mu.points
+    prec = op_precision(precision_bits, *pts)
+    s = max((mp.mag(x) for x in pts if x), default=0)
+    F = prec + 16 + 2 * k_max + len(pts).bit_length()
+    us, ws = [], []
+    for x, w in zip(pts, mu.weights):
+        ur, ui = to_fixed(x.real, F - s), to_fixed(x.imag, F - s)
+        wf = to_fixed(w, F)
+        us.append((ur, abs(ui)))
+        ws.append((wf, -wf if ui < 0 else wf))
+    ps = [(1 << F, 0)] * len(pts)
+    out = []
     with workprec(prec):
-        out = []
         for k in range(k_max + 1):
-            out.append(
-                mp.fsum((w * x**k for x, w in zip(mu.points, mu.weights)))
-            )
+            if k:
+                ps = [cmul(a, b, c, d, F) for (a, b), (c, d) in zip(ps, us)]
+            re = sum(w * a for (w, _), (a, _) in zip(ws, ps))
+            im = sum(w * b for (_, w), (_, b) in zip(ws, ps))
+            out.append(to_mpc(re, im, 2 * F - k * s))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Fixed-point ints: conversions, complex products and quotients, e^w."""
+"""Fixed-point ints: conversions, complex products and quotients, e^w, log."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
-from szegolab.fixed import cdiv, cexp, cmul, gaussian_ints, to_fixed, to_mpc
+from mpmath.libmp.libelefun import LOG_TAYLOR_PREC
+
+from szegolab.fixed import cdiv, cexp, cmul, gaussian_ints, log, to_fixed, to_mpc
 
 
 def _exact(x) -> Fraction:
@@ -76,3 +78,23 @@ def test_fixed_exp_matches_mp_exp(F):
             assert abs(er - ref.real) <= bound and abs(ei - ref.imag) <= bound, (a, b)
         if not wi:
             assert ei == 0
+
+
+@pytest.mark.parametrize(
+    "F", [80, 236, 1000, LOG_TAYLOR_PREC - 40, LOG_TAYLOR_PREC, 3000]
+)
+def test_fixed_log_within_its_bound(F):
+    # F + 16 + bits(n) working bits sit below LOG_TAYLOR_PREC for the first
+    # four grids at |n| < 2^8 and above it for the last two, so both sides
+    # of the split run.  man covers powers of two, mantissas just below a
+    # power of two (x near 1) and wide random ones, |n| up to 3000.
+    rng = random.Random(F)
+    cases = [(1, 0), (1, -1), (3, -2), ((1 << 300) - 1, -300), (1, 2900), (7, -3000)]
+    for _ in range(40):
+        b = rng.randint(1, 700)
+        cases.append((rng.getrandbits(b) | (1 << (b - 1)), rng.randint(-200, 200)))
+    for man, exp in cases:
+        t = log(man, exp, F)
+        with mp.workprec(2 * F + 64):
+            ref = mp.log(mp.ldexp(mpf(man), exp)) * 2**F
+            assert abs(t - ref) < mpf("1.01"), (man, exp)

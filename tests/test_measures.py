@@ -11,8 +11,16 @@ from szegolab.measures import (
     log_potential,
 )
 from szegolab.potential import discretize_mu_r, graded_mu_r
-from szegolab.precision import ap_complex, ap_real, op_precision, workprec
+from szegolab.precision import (
+    ap_complex,
+    ap_real,
+    mantissa_bits,
+    op_precision,
+    workprec,
+)
 from szegolab.szego import trace_level_curve
+
+from conftest import KERNEL_CASES, KERNEL_IDS, half_ulp, kernel_case
 
 PREC = 192
 
@@ -20,11 +28,11 @@ PREC = 192
 def _near_oracle(mu, z):
     """log_potential(mu, z), checked against a sum of logs at twice the bits.
 
-    At working precision p each block's product errs by less than
-    2^-(p + 9) relative before it is rounded once, so its log errs by at
-    most 1.01 * 2^-p plus its own rounding; with the weight products and
-    the final sum, |V - V*| <= 2^-p (W / 2 + 3.01 S) for the mass W = 1 and
-    S = sum_j w_j |log|z - x_j||.
+    At working precision p the kernel's sum errs by less than
+    2^-(p + 15) (1 + 2 max_j |log|z - x_j||) before its one rounding, and
+    V is half of it, so |V - V*| <= 2^-p (1 + 4 S) for
+    S = sum_j w_j |log|z - x_j|| unless S is far below the largest
+    |log|z - x_j||.
     """
     prec = op_precision(PREC, z, *mu.points)
     v = log_potential(mu, z, PREC)
@@ -116,3 +124,46 @@ def test_discrete_measure_rejects_non_finite_points(bad):
 def test_discrete_measure_rejects_nan_weight():
     with pytest.raises(InvalidParameter, match="nonnegative"):
         DiscreteMeasure(points=(mpc(0), mpc(1)), weights=(mpf(1), mpf(mp.nan)))
+
+
+def _log_formula(mu, z, bits):
+    """-sum_j w_j log|z - x_j| in mpmath at bits, and sum_j |log|z - x_j|^2|,
+    over the nonzero weights: the formula that the int kernel replaced."""
+    with workprec(bits):
+        logs = [(w, mp.log(abs(z - x))) for x, w in zip(mu.points, mu.weights) if w]
+        return -mp.fsum(w * g for w, g in logs), 2 * mp.fsum(abs(g) for _, g in logs)
+
+
+def _check_log_potential(mu, z, P):
+    """log_potential against its formula at 2p + 64 bits, p its working
+    precision.  The value stays within the docstring bound of
+    _log_pair_sum, (2.01 + sum_j |log|z - x_j|^2|) 2^-F halved, plus half
+    a unit in its last place, and within the larger of the formula's own error at p bits
+    and one rounding unit 2^(1 - p) |V|."""
+    v = log_potential(mu, z, P)
+    p = max(op_precision(P, z), max(mantissa_bits(x) for x in mu.points))
+    F = p + 16 + len(mu).bit_length()
+    exact, logs = _log_formula(mu, z, 2 * p + 64)
+    parent, _ = _log_formula(mu, z, p)
+    with workprec(2 * p + 64):
+        err = abs(v - exact)
+        bound = mp.ldexp(mpf("2.01") + logs, -F - 1) + half_ulp(v, p)
+        assert err <= bound, (z, err, bound)
+        own = max(abs(parent - exact), mp.ldexp(abs(exact), 1 - p))
+        assert err <= own, (z, err, own)
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
+def test_log_potential_matches_its_formula(case):
+    _, mu = kernel_case(*case)
+    near = "1e50" if case[1] == "800" else "0"
+    for re, im in ((near, "0"), ("2", "0"), ("0.1", "0.05"), ("0", "1.5")):
+        _check_log_potential(mu, ap_complex(re, PREC, im), PREC)
+
+
+def test_log_potential_above_the_log_taylor_precision():
+    # at 2600 bits fixed.log runs mpf_log instead of log_taylor_cached
+    bits = 2600
+    _, mu = graded_mu_r(ap_real("0.3", bits), 16, bits)
+    for z in (ap_complex("0.1", bits, "0.05"), ap_complex("2", bits)):
+        _check_log_potential(mu, z, bits)

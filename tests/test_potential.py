@@ -17,10 +17,11 @@ from szegolab.potential import (
     weighted_energy,
     weighted_leja,
 )
+from szegolab.fixed import gaussian_ints
 from szegolab.precision import ap_real, op_precision, workprec
 from szegolab.szego import real_crossings, trace_level_curve
 
-from conftest import gap
+from conftest import KERNEL_CASES, KERNEL_IDS, gap, half_ulp, kernel_case
 
 PREC = 192
 
@@ -67,6 +68,108 @@ def test_harmonic_moments_corner_accuracy_is_limited():
     with workprec(PREC):
         worst = max(abs(m) for m in moments[1:])
     assert mpf("1e-8") < worst < mpf("1e-2")
+
+
+def _moment_formula(mu, bits):
+    """The mpmath moments that the int kernel replaced: fsum(w x^k), k <= 6."""
+    pairs = list(zip(mu.points, mu.weights))
+    with workprec(bits):
+        return [mp.fsum(w * x**k for x, w in pairs) for k in range(7)]
+
+
+def _check_moments(mu):
+    """harmonic_moments against fsum(w x^k) at 2P + 64 bits, on the same
+    points and weights, for k_max in (0, 1, 6).
+
+    Each part of each moment stays within the docstring bound
+    (3 k W + n) 2^(k s - F) plus half a unit in its last place, and the
+    moment within the larger of the error of the same formula at P bits
+    (the mpmath kernel's own) and one rounding unit 2^(1 - P) |m_k|.
+    """
+    pts = mu.points
+    P = op_precision(PREC, *pts)
+    n = len(pts)
+    exact, parent = _moment_formula(mu, 2 * P + 64), _moment_formula(mu, P)
+    s = max((mp.mag(x) for x in pts if x), default=0)
+    for k_max in (0, 1, 6):
+        got = harmonic_moments(mu, k_max, PREC)
+        assert len(got) == k_max + 1
+        F = P + 16 + 2 * k_max + n.bit_length()
+        with workprec(2 * P + 64):
+            W = mp.fsum(mu.weights)
+            for k, m in enumerate(got):
+                assert isinstance(m, mpc)
+                bound = (3 * k * W + n) * mp.ldexp(1, k * s - F)
+                ref = mpc(exact[k])
+                for part, want in ((m.real, ref.real), (m.imag, ref.imag)):
+                    assert abs(part - want) <= bound + half_ulp(part, P), (k_max, k)
+                err = abs(m - ref)
+                own = max(abs(parent[k] - ref), mp.ldexp(abs(ref), 1 - P))
+                assert err <= own, (k_max, k, err, own)
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
+def test_harmonic_moments_match_their_formula(case):
+    _check_moments(kernel_case(*case)[1])
+
+
+def test_harmonic_moments_off_the_unit_disc():
+    # |x| up to 5, a point at 1e-30, real points and no conjugate symmetry;
+    # the same measure scaled by 2^-1000 needs the 2^s scale to resolve
+    with workprec(PREC):
+        pts = [mpf(5), mpc(-3, 4), mpc("0.5", "0.25"), mpf("1e-30"), mpc(0, -2)]
+        pts.append(mpc("-1.25", "-0.75"))
+        weights = [mpf(k) / 8 for k in (1, 2, 1, 2, 1, 1)]
+        for scale in (1, mp.ldexp(1, -1000)):
+            _check_moments(DiscreteMeasure(points=[x * scale for x in pts], weights=weights))
+
+
+@pytest.mark.parametrize("k_max", [-1, 6.0, True, "6"])
+def test_harmonic_moments_rejects_a_bad_k_max(k_max):
+    mu = discretize_mu_r(mpf(1), 16, PREC)
+    with pytest.raises(InvalidParameter, match="k_max"):
+        harmonic_moments(mu, k_max, PREC)
+
+
+def _density_formula(curve, bits):
+    """The mpmath pullback density that the int kernel replaced, at bits."""
+    m = len(curve.points)
+    pts, thetas = curve.points, curve.thetas
+    with workprec(bits):
+        two_pi = 2 * mp.pi
+        out = []
+        for j in range(m):
+            z = pts[j]
+            t_prev = thetas[j - 1] - (two_pi if j == 0 else 0)
+            t_next = thetas[(j + 1) % m] + (two_pi if j == m - 1 else 0)
+            dz = (pts[(j + 1) % m] - pts[j - 1]) / (t_next - t_prev)
+            out.append(((1 - z) / z * dz / (2j * mp.pi)).real)
+    return out
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=KERNEL_IDS)
+def test_pullback_density_matches_its_formula(case):
+    # Against the formula at 2P + 64 bits, each node's density stays within
+    # the docstring bound plus half a unit in its last place at P + 16 bits,
+    # and within the larger of the formula's own error at P + 16 bits and
+    # one rounding unit of the result.
+    curve, _ = kernel_case(*case)
+    P = curve.precision_bits
+    got = pullback_density(curve)
+    wide = 2 * P + 64
+    exact, parent = _density_formula(curve, wide), _density_formula(curve, P + 16)
+    F = max(-gaussian_ints(curve.thetas)[2], P + 24)
+    m = len(got)
+    with workprec(wide):
+        ends = {0: curve.thetas[1] - curve.thetas[-1] + 2 * mp.pi}
+        ends[m - 1] = curve.thetas[0] + 2 * mp.pi - curve.thetas[-2]
+        for j, d in enumerate(got):
+            err = abs(d - exact[j])
+            rel = 1 / mp.pi + (2 / ends[j] if j in ends else 0)
+            bound = mpf("1.02") * abs(exact[j]) * mp.ldexp(rel, -F)
+            assert err <= bound + half_ulp(d, P + 16), j
+            own = max(abs(parent[j] - exact[j]), mp.ldexp(abs(exact[j]), -P - 15))
+            assert err <= own, (j, err, own)
 
 
 def test_graded_weights_sum_to_one_without_renormalizing():
