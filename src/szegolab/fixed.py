@@ -4,10 +4,11 @@ A real t is held as the int t 2^F on a grid 2^-F that the caller chooses,
 a complex number as a pair of such ints.  Below about 1000 bits mpmath's
 per-operation overhead, not the bits, sets the cost of an mpf or mpc
 operation: at 228 bits an mpc multiply costs about 25 Python-int multiplies
-and shifts.  The Aberth sweeps and zero radii (rootfinding), the W_0
-iteration of the curve nodes (szego), the squared distances, block logs and
-weighted sums of the log potentials (measures), and the harmonic moments and
-pullback density of mu_r (potential) run on these ints.  to_fixed truncates
+and shifts.  The Aberth sweeps and the Newton polish, residuals and radii
+of the zeros (rootfinding), the W_0 iteration of the curve nodes (szego),
+the squared distances, block logs and weighted sums of the log potentials
+(measures), and the harmonic moments and pullback density of mu_r
+(potential) run on these ints.  to_fixed truncates
 toward zero, products and quotients round down, so each part errs by less
 than one unit of 2^-F; to_mpc rounds ints back to the ambient precision.
 """

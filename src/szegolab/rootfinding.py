@@ -41,17 +41,19 @@ at most twice its residual and that has no other root within twice that
 imaginary part is returned as real (Im z = 0 exactly), so the order of real
 zeros does not hang on the sign of rounding noise.
 
-Fixed point.  The Aberth sweeps run on Python ints, not mpmath numbers,
+Fixed point.  The root finder runs on Python ints, not mpmath numbers,
 whose per-operation overhead dominates below about 1000 bits.  With
 2^(s m) <= |c_0| < 2^((s + 1) m), so that 2^s is about the geometric mean
-of the root moduli, the sweeps iterate y = z / 2^s on the scaled monic
+of the root moduli, it works on y = z / 2^s and the scaled monic
 polynomial with coefficients c_k 2^(s(k - m)), which is of order 1 on its
 zeros.  Coefficients and iterates are ints on 2^-F, F the working
 precision plus _FIXED_GUARD bits; each Horner product is an int multiply
-and a shift, and each term of sum 1/(z - z_j) one int division.  The
-Newton polish, the residuals, the real snap and the max(residual) <= tol
-gate run in mpmath on the iterates converted back.  Then one more
-fixed-point Horner pass per zero gives it a certified radius (_radii).
+and a shift, and each term of sum 1/(z - z_j) one int division.  After the
+Aberth sweeps, one function (_polish) takes two Newton steps per root on
+the same ints, rounds the root once to the working precision, and reads
+its residual |p/p'| and a certified radius from one more Horner pass with
+running error bounds.  The real snap re-polishes the snapped point the
+same way; only the max(residual) <= tol gate compares mpf numbers.
 """
 
 from __future__ import annotations
@@ -117,17 +119,6 @@ class ZeroSet:
 
     def __len__(self) -> int:
         return len(self.zeros)
-
-
-def _horner_pair(coeffs, z):
-    """Evaluate p(z) and p'(z) together; coeffs ascending degree.  Real
-    coefficients at a real z stay in real arithmetic."""
-    p = coeffs[-1]
-    dp = mpf(0)
-    for c in reversed(coeffs[:-1]):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
 
 
 def _start_circle(m, radius, offset_turns):
@@ -355,30 +346,36 @@ def _aberth_pairs(coeffs, upper, reals, tol):
     return roots[: len(upper)], [x.real for x in roots[len(upper) :]], converged, sweeps
 
 
-def _residual(coeffs, z):
-    p, dp = _horner_pair(coeffs, z)
-    scale = abs(dp) if dp != 0 else mpf(2) ** (-mp.prec)
-    return abs(p) / scale
+def _polish(coeffs, roots):
+    """Two Newton steps, a residual and a radius per root of the monic
+    coeffs (degree m >= 1); returns a (root, residual, radius) triple each.
 
-
-def _radii(coeffs, roots, real):
-    """Radii, rounded up, about the roots of the monic coeffs (degree m >= 1).
-
-    At a root cut to y on the sweeps' grid, p runs on 2^-F as _horner_fixed
-    has it and p' on 2^-G >= 2^-F, from y and p cut to G bits (128 beyond
-    |y|^m).  Each product and cut errs by under a unit per part, so the
-    errors obey e_k <= |y| e_(k+1) + 3 and d_k <= (|y| + 3 2^-G) d_(k+1) + 3
-    + 2^(1-G) |p'_(k+1)| + 2^(G-F) e_(k+1) units, from 0.  By Newton's disk
-    a root lies within m (|p| + e_0) / (|p'| - d_0) (inf if |p'| <= d_0),
-    plus 2 units for the cut.  With real coefficients conj z shares z's.
+    On _fixed_coeffs' grid each step is one _horner_fixed pass and one cdiv,
+    skipped once p or p' is 0, and the root is then rounded once to the
+    working precision.  At y, that root cut to 2^-F, one more pass takes p
+    on 2^-F as _horner_fixed has it and p' on 2^-G >= 2^-F, from y and p cut
+    to G bits (128 beyond |y|^m).  Each product and cut errs by under a unit
+    per part, so the errors obey e_k <= |y| e_(k+1) + 3 and d_k <= (|y| +
+    3 2^-G) d_(k+1) + 3 + 2^(1-G) |p'_(k+1)| + 2^(G-F) e_(k+1) units, from 0
+    (Higham 2002, section 5.1).  The residual is |p/p'| there (0 where
+    p = 0, inf where p' = 0).  By Newton's disk a root lies within
+    m (|p| + e_0) / (|p'| - d_0) (inf if |p'| <= d_0), plus 2 units for the
+    cut: the radius, rounded up.
     """
     m = len(coeffs) - 1
     F = mp.prec + _FIXED_GUARD
     s, b = _fixed_coeffs(coeffs, F)
-    keys = [(to_fixed(z.real, F - s), to_fixed(z.imag, F - s)) for z in map(mpc, roots)]
-    keys = [(x, abs(y)) if real else (x, y) for x, y in keys]
-    radii = {}
-    for x, y in set(keys):
+    polished = []
+    for z in map(mpc, roots):
+        x, y = to_fixed(z.real, F - s), to_fixed(z.imag, F - s)
+        for _ in range(2):
+            pr, pi_, dr, di = _horner_fixed(b, x, y, F)
+            if not (pr or pi_) or not (dr or di):
+                break
+            hr, hi = cdiv(pr, pi_, dr, di, F)
+            x, y = x - hr, y - hi
+        z = to_mpc(x, y, F - s)
+        x, y = to_fixed(z.real, F - s), to_fixed(z.imag, F - s)
         a = isqrt(x * x + y * y) + 1
         G = min(F, 128 + m * max(0, a.bit_length() - F))
         c, pr, pi_, dr, di, e, d = F - G, 1 << F, 0, 0, 0, 0, 0
@@ -390,56 +387,48 @@ def _radii(coeffs, roots, real):
             e = ((a * e) >> F) + 4
             k = x * (pr + pi_)
             pr, pi_ = ((k - pi_ * (y + x)) >> F) + br, ((k + pr * (y - x)) >> F) + bi
-        num = m * (isqrt(pr * pr + pi_ * pi_) + 1 + e)
-        den = (isqrt(dr * dr + di * di) - d) << c
-        radii[x, y] = mp.inf
+        p2, d2 = pr * pr + pi_ * pi_, dr * dr + di * di
+        if d2:
+            residual = mp.ldexp(mp.sqrt(mpf(p2) / d2), G - F + s)
+        else:
+            residual = mp.inf if p2 else mpf(0)
+        num = m * (isqrt(p2) + 1 + e)
+        den = (isqrt(d2) - d) << c
+        radius = mp.inf
         if den > 0:  # num / den + 2^(1 - F) as one fraction
             t = mp.fdiv((num << F) + 2 * den, den << F, prec=53, rounding="u")
-            radii[x, y] = mp.ldexp(t, s)
-    return [radii[k] for k in keys]
-
-
-def _polish_and_residuals(coeffs, roots):
-    polished = []
-    residuals = []
-    for z in roots:
-        for _ in range(2):
-            p, dp = _horner_pair(coeffs, z)
-            if dp == 0 or p == 0:
-                break
-            z = z - p / dp
-        polished.append(z)
-        residuals.append(_residual(coeffs, z))
-    return polished, residuals
+            radius = mp.ldexp(t, s)
+        polished.append((z, residual, radius))
+    return polished
 
 
 def _mirror(coeffs, upper, reals):
-    """Polish and residuals on upper and reals; the lower half is the exact
-    conjugate of upper and shares its residuals."""
-    upper, res_upper = _polish_and_residuals(coeffs, upper)
-    reals, res_reals = _polish_and_residuals(coeffs, reals)
-    lower = [w.conjugate() for w in upper]  # exact at the roots' precision
-    return upper + lower + [mpc(x) for x in reals], res_upper * 2 + res_reals
+    """_polish on upper and reals; the lower half is the exact conjugate of
+    upper and shares its residuals and radii."""
+    k = len(upper)
+    polished = _polish(coeffs, list(upper) + list(reals))
+    # conjugate() is exact at the roots' precision
+    lower = [(z.conjugate(), res, rad) for z, res, rad in polished[:k]]
+    return polished[:k] + lower + polished[k:]
 
 
-def _snap_real(coeffs, roots, residuals):
+def _snap_real(coeffs, polished):
     """Set Im z = 0 where |Im z| <= 2 residual and no other root lies within
-    2 |Im z|; the residual is recomputed at the real point.
+    2 |Im z|; the real point is polished again (_polish keeps it real).
 
     Near a real zero the residual |p/p'| is about |z - zero| >= |Im z|, and
     where Re p rounds to 0 the two agree up to rounding; the factor 2 keeps
     that tie from deciding.  A conjugate pair is caught by the second test.
     """
-    roots, residuals = list(roots), list(residuals)
-    for i, z in enumerate(roots):
+    polished = list(polished)
+    for i, (z, res, _) in enumerate(polished):
         y = abs(z.imag)
-        if y == 0 or y > 2 * residuals[i]:
+        if y == 0 or y > 2 * res:
             continue
-        if any(abs(z - w) <= 2 * y for j, w in enumerate(roots) if j != i):
+        if any(abs(z - w) <= 2 * y for j, (w, _, _) in enumerate(polished) if j != i):
             continue
-        roots[i] = mpc(z.real)
-        residuals[i] = _residual(coeffs, roots[i])
-    return roots, residuals
+        polished[i] = _polish(coeffs, [z.real])[0]
+    return polished
 
 
 def _sort_key(z):
@@ -447,16 +436,24 @@ def _sort_key(z):
 
 
 def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
-    """All roots of a monic polynomial, each with residual <= tol and a radius."""
+    """All roots of a monic polynomial, each with residual <= tol and a radius.
+
+    tol, if given, must be a finite positive real that mpf accepts (not a
+    bool); the default is 2^-(precision_bits // 2).
+    """
     if not coeffs.monic_flag:
         raise InvalidParameter("find_roots requires a monic coefficient list")
     prec = op_precision(precision_bits, *coeffs.coeffs)
     if tol is None:
         tol = mpf(2) ** (-(precision_bits // 2))
     else:
-        tol = mpf(tol) if not isinstance(tol, mpf) else tol
-        if not (tol > 0) or not mp.isfinite(tol):
-            raise InvalidParameter(f"need finite tol > 0, got {tol}")
+        try:
+            value = None if isinstance(tol, bool) else mpf(tol)
+        except (TypeError, ValueError):
+            value = None
+        if value is None or not (value > 0) or not mp.isfinite(value):
+            raise InvalidParameter(f"need a finite real tol > 0, got {tol!r}")
+        tol = value
     n = coeffs.degree
 
     with workprec(prec + 16):
@@ -467,91 +464,89 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
             c.pop(0)
             mult += 1
         m = len(c) - 1
-        zeros = [mpc(0)] * mult
-        residuals = [mpf(0)] * mult
         start, sweeps = "closed-form", 0
 
         if m == 1:
-            root_list, res_list = _polish_and_residuals(c, [-mpc(c[0])])
+            polished = _polish(c, [-mpc(c[0])])
         elif m == 2:
             b, c0 = mpc(c[1]), mpc(c[0])
             sq = mp.sqrt(b * b - 4 * c0)
             s = b + sq if mp.re(b.conjugate() * sq) >= 0 else b - sq
             q = -s / 2
-            root_list, res_list = _polish_and_residuals(c, [q, c0 / q])
+            polished = _polish(c, [q, c0 / q])
         elif m >= 3:
             spec = coeffs.spec if mult == 0 else None
-            root_list, res_list, start, sweeps = _iterate_with_restarts(
-                c, m, tol, spec, real
-            )
+            polished, start, sweeps = _iterate_with_restarts(c, m, tol, spec, real)
         else:
-            root_list, res_list = [], []
+            polished = []
         if real:
-            root_list, res_list = _snap_real(c, root_list, res_list)
+            polished = _snap_real(c, polished)
 
-        if res_list and max(res_list) > tol:
+        worst = max((res for _, res, _ in polished), default=0)
+        if worst > tol:
             raise NonConvergence(
-                f"root residuals up to {mp.nstr(max(res_list), 6)} exceed "
+                f"root residuals up to {mp.nstr(worst, 6)} exceed "
                 f"tol = {mp.nstr(tol, 6)} at {prec} bits",
-                best=tuple(zeros + root_list),
-                max_residual=max(res_list),
+                best=(mpc(0),) * mult + tuple(z for z, _, _ in polished),
+                max_residual=worst,
             )
-
-        order = sorted(range(len(root_list)), key=lambda i: _sort_key(root_list[i]))
-        zeros += [root_list[i] for i in order]
-        residuals += [res_list[i] for i in order]
-        radii = [mpf(0)] * mult + (_radii(c, zeros[mult:], real) if root_list else [])
+        rows = [(mpc(0), mpf(0), mpf(0))] * mult
+        rows += sorted(polished, key=lambda row: _sort_key(row[0]))
 
     return ZeroSet(
-        zeros=tuple(zeros),
-        residuals=tuple(residuals),
+        zeros=tuple(z for z, _, _ in rows),
+        residuals=tuple(res for _, res, _ in rows),
         origin_multiplicity=mult,
         spec=coeffs.spec,
         start=start,
         sweeps=sweeps,
-        radii=tuple(radii),
+        radii=tuple(rad for _, _, rad in rows),
     )
 
 
 def _iterate_with_restarts(c, m, tol, spec, real):
-    """Aberth from each rung of the ladder in turn; returns (roots,
-    residuals, rung name, sweeps) of the first to converge within tol,
-    else of the attempt with the smallest worst residual.  A rung whose
-    starts are a _Half runs on conjugate pairs."""
+    """Aberth from each rung of the ladder in turn; returns (polished rows,
+    rung name, sweeps) of the first to converge within tol, else of the
+    attempt with the smallest worst residual.  A rung's starts are built
+    only when it runs; a rung whose starts are None is skipped, and one
+    whose starts are a _Half runs on conjugate pairs."""
     offset = mpf(_GOLDEN)
     geo_radius = abs(c[0]) ** (mpf(1) / m)
     counts = _real_zero_counts(spec) if spec is not None and real else None
     if counts is not None and (counts[0] > 1 or sum(counts) > 2):
         counts = None  # one seed per side; naive real seeds stall
-    circle = ("circle", _start_circle(m, mpf(1) / 2, offset))
-    geometric = ("geometric", _start_circle(m, geo_radius, offset))
+    rungs = {
+        "limit-law": lambda: None if spec is None else _limit_law_starts(spec, m, counts),
+        "circle": lambda: _start_circle(m, mpf(1) / 2, offset),
+        "geometric": lambda: _start_circle(m, geo_radius, offset),
+        "newton-polygon": lambda: _newton_polygon_starts(c, offset),
+    }
     if geo_radius < _CLUSTER_SIGNAL:
         if counts is not None:
-            geometric = ("geometric", _half_circle(m, geo_radius, counts))
-        attempts = [geometric, circle]
+            rungs["geometric"] = lambda: _half_circle(m, geo_radius, counts)
+        order = ("geometric", "circle", "newton-polygon")
     else:
-        attempts = [circle, geometric]
-        law = None if spec is None else _limit_law_starts(spec, m, counts)
-        if law is not None:
-            attempts.insert(0, ("limit-law", law))
-    attempts.append(("newton-polygon", _newton_polygon_starts(c, offset)))
+        order = ("limit-law", "circle", "geometric", "newton-polygon")
 
     best = None
-    for name, starts in attempts:
+    for name in order:
+        starts = rungs[name]()
+        if starts is None:
+            continue
         if isinstance(starts, _Half):
             upper, reals, converged, sweeps = _aberth_pairs(
                 c, starts.upper, starts.reals, tol
             )
-            roots, res = _mirror(c, upper, reals)
+            polished = _mirror(c, upper, reals)
         else:
             roots, converged, sweeps = _aberth(c, starts, tol)
-            roots, res = _polish_and_residuals(c, roots)
-        worst = max(res)
-        if best is None or worst < max(best[1]):
-            best = (roots, res, name, sweeps)
+            polished = _polish(c, roots)
+        worst = max(res for _, res, _ in polished)
         if converged and worst <= tol:
-            return roots, res, name, sweeps
-    return best
+            return polished, name, sweeps
+        if best is None or worst < best[0]:
+            best = (worst, polished, name, sweeps)
+    return best[1:]
 
 
 def contracted_zeros(

@@ -26,6 +26,17 @@ from szegolab.rootfinding import (
 from conftest import gap
 
 
+def _horner_pair(coeffs, z):
+    """p(z) and p'(z) in mpmath at the ambient precision; coeffs ascending.
+    The mp reference for the solver's fixed-point Horner passes."""
+    p = coeffs[-1]
+    dp = mpf(0)
+    for c in reversed(coeffs[:-1]):
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp
+
+
 def _coeff_list(*ascending):
     return CoeffList(coeffs=tuple(mpf(c) for c in ascending), monic_flag=True)
 
@@ -58,6 +69,12 @@ def test_find_roots_rejects_non_finite_tol():
     for tol in ("inf", "nan"):
         with pytest.raises(InvalidParameter):
             find_roots(_coeff_list(-1, 0, 1), 128, tol=mpf(tol))
+    # Text, complex and other values mpf cannot take are typed errors too, and
+    # a bool is not read as tol = 1.
+    for tol in ("abc", 1j, mpc(1, 0), [1], True, False):
+        with pytest.raises(InvalidParameter):
+            find_roots(_coeff_list(-1, 0, 1), 128, tol=tol)
+    assert max(find_roots(_coeff_list(-1, 0, 1), 128, tol="1e-30").residuals) <= mpf("1e-30")
 
 
 def test_monic_rescaled_triple_origin_root():
@@ -276,6 +293,19 @@ def test_szego_real_zero_count(n, alpha):
     assert (sum(x > 0 for x in real), sum(x < 0 for x in real)) == (pos, neg)
 
 
+def test_unused_rungs_build_no_starts(monkeypatch):
+    # The ladder builds a rung's starts only when that rung runs, so a fig 2
+    # solve that converges on the limit-law rung never builds the Newton
+    # polygon, the circle or the geometric circle.
+    def unused(*args):
+        raise AssertionError("starts built for a rung that did not run")
+
+    for name in ("_newton_polygon_starts", "_start_circle", "_half_circle"):
+        monkeypatch.setattr(rootfinding, name, unused)
+    zs = contracted_zeros(60, ap_real("-60.1", 512), 512)
+    assert zs.start == "limit-law" and len(zs) == 60
+
+
 def test_limit_law_seeds_figure_two():
     zs = contracted_zeros(60, ap_real("-60.1", 512), 512)
     assert zs.start == "limit-law"
@@ -340,7 +370,7 @@ def test_fixed_horner_within_its_running_bound(name):
         ]
         for X, Y in ints:
             y = mpc(mp.ldexp(X, -F), mp.ldexp(Y, -F))
-            p, dp = rootfinding._horner_pair(scaled, y)
+            p, dp = _horner_pair(scaled, y)
             pr, pi, dr, di = rootfinding._horner_fixed(b, X, Y, F)
             e = d = mpf(0)
             for _ in range(m):
@@ -388,21 +418,24 @@ def test_every_zero_lies_within_its_radius(name):
     # same rounded coefficients at 4x the bits, until a step no longer moves
     # it at that precision.  The radius must bound that distance (the
     # residual |p/p'| in its place fails every case here), and the disks must
-    # be pairwise disjoint, so that each holds exactly one root.
+    # be pairwise disjoint, so that each holds exactly one root.  The residual
+    # is read at the rounded root, so it must track that distance within a
+    # factor 2.
     coeffs, bits = _radius_case(name)
     zs = find_roots(coeffs, bits)
     assert len(zs.radii) == len(zs.zeros) == coeffs.degree
     P = op_precision(bits, *coeffs.coeffs) + 16
     with workprec(4 * P):
         c = [mpc(a) for a in coeffs.coeffs]
-        for z, radius in zip(zs.zeros, zs.radii):
+        for z, radius, residual in zip(zs.zeros, zs.radii, zs.residuals):
             root = mpc(z)
             for _ in range(12):
-                p, dp = rootfinding._horner_pair(c, root)
+                p, dp = _horner_pair(c, root)
                 root -= p / dp
                 if abs(p / dp) <= abs(root) * mpf(2) ** (16 - 4 * P):
                     break
             assert abs(root - z) <= radius < mp.inf
+            assert abs(root - z) <= 2 * residual
         for i, (z, radius) in enumerate(zip(zs.zeros, zs.radii)):
             for w, other in zip(zs.zeros[i + 1 :], zs.radii[i + 1 :]):
                 assert abs(z - w) > radius + other
