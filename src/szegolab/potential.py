@@ -46,7 +46,7 @@ from mpmath.libmp.libelefun import pi_fixed
 from .errors import InvalidParameter, InvalidTestPoint
 from .fixed import cmul, gaussian_ints, to_fixed, to_mpc
 from .measures import DiscreteMeasure, _log_pair_sum, _sq_dist, log_potential
-from .precision import op_precision, workprec
+from .precision import as_real, op_precision, workprec
 from .szego import (
     _SHADOW_U,
     DEFAULT_TRACE_PRECISION,
@@ -122,7 +122,7 @@ def discretize_mu_r(
 
     r = +inf yields the limit measure delta_0.
     """
-    r = mpf(r) if not isinstance(r, mpf) else r
+    r = r if isinstance(r, mpf) else as_real(r, "r")
     if r == mp.inf:
         return DiscreteMeasure(points=(mpc(0),), weights=(mpf(1),), label="delta_0")
     curve = trace_level_curve(r, M, precision_bits)
@@ -153,7 +153,7 @@ def graded_mu_r(
     evaluated by Lambert W.  The weights are mirrored like the nodes,
     w_(M-j) = w_j exactly.
     """
-    r = mpf(r) if not isinstance(r, mpf) else r
+    r = _check_r(r)
     check_node_count(M)
     with workprec(op_precision(precision_bits, r) + 16):
         grid = [_theta(j, M) for j in range(M)]
@@ -271,7 +271,7 @@ def verify_balayage(
     potential is singular at the nodes themselves.  mu_r is the
     corner-graded graded_mu_r, so the identities hold at r = 0 too.
     """
-    r = mpf(r) if not isinstance(r, mpf) else r
+    r = _check_r(r)
     curve, mu = graded_mu_r(r, M, precision_bits)
     checks = []
     prec = op_precision(precision_bits, r)
@@ -483,8 +483,8 @@ def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResu
     grid_M, and about one node in eight is ever evaluated.  The final max
     over S_i / omega2_i is taken the same way.
     """
-    if N < 1:
-        raise InvalidParameter(f"need N >= 1, got {N}")
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
+        raise InvalidParameter(f"need an int N >= 1, got {N!r}")
     if grid_M < 8 * N:
         raise InvalidParameter(f"need grid_M >= 8 N = {8 * N}, got {grid_M}")
     check_node_count(grid_M)

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 
 from mpmath import mp, mpc, mpf
 
-from .errors import PrecisionError
+from .errors import InvalidParameter, PrecisionError
 
 MIN_PRECISION_BITS = 64
 
@@ -42,6 +42,17 @@ def check_precision(precision_bits) -> int:
             f"precision_bits={precision_bits} below minimum {MIN_PRECISION_BITS}"
         )
     return precision_bits
+
+
+def as_real(value, name) -> mpf:
+    """mpf(value) at the ambient precision; InvalidParameter for a bool or
+    for anything mpf cannot take."""
+    try:
+        if not isinstance(value, bool):
+            return mpf(value)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidParameter(f"need a real {name}, got {value!r}")
 
 
 @contextmanager

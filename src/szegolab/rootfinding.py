@@ -20,21 +20,22 @@ Starts form a restart ladder, tried in order until one converges:
   circle.
 * newton-polygon: annuli from the Newton polygon of the coefficients.
 
-Conjugate pairs.  With real coefficients and a LaguerreSpec (no origin
-roots deflated), the number of real zeros is known before solving:
-R = R+ + R-, Szego's count of positive zeros plus the negative one (see
-_real_zero_counts).  When R+ <= 1 and R <= 2, which covers the paper's
-regime and every schedule, the first rung -- limit-law, or geometric for
-the cluster -- runs on half the roots: R real seeds at the real crossings
-x0 / x_neg of Gamma_(r_eff) (or at +-|c_0|^(1/m)) and P = (m - R)/2 seeds
-in the upper half plane, at theta_k = pi (k + 1/2) / P on Gamma_(r_eff)
-(or on the upper half of the geometric circle).  Only those P + R roots
-are iterated, the real ones in real arithmetic; the lower half is their
-exact conjugate, so conjugate zeros agree to the last bit and real zeros
-have Im z = 0 exactly.  If that rung fails, the rest of the ladder runs
-unchanged.  Otherwise the rung keeps its full seeds: Gamma_(r_eff) crosses
-the real axis once on each side, so it has no seed for a second positive
-zero, and naive real seeds stall when many zeros are real.
+Conjugate pairs.  Every rung yields (starts, npairs) as _sweeps takes
+them; full rungs have npairs = 0.  With real coefficients and a LaguerreSpec
+(no origin roots deflated), R = R+ + R-, Szego's count of positive zeros
+plus the negative one, is known before solving (_real_zero_counts).  When
+R+ <= 1 and R <= 2, which covers the paper's regime and every schedule,
+the first rung -- limit-law, or geometric for the cluster -- yields
+_pair_starts: P = (m - R)/2 upper starts at theta_k = pi (k + 1/2) / P on
+Gamma_(r_eff) (or the geometric circle), then R real starts at its real
+crossings x0 / x_neg (or +-|c_0|^(1/m)), and npairs = P.  Only those P + R
+roots are iterated, the real ones in real arithmetic; the lower half is
+their exact conjugate, with their residuals and radii, so conjugate zeros
+agree to the last bit and real zeros have Im z = 0 exactly.  A failed pair
+run hands over to the rest of the ladder unchanged.  Other counts keep the
+full starts: Gamma_(r_eff) crosses the real axis once on each side, so it
+has no seed for a second positive zero, and naive real seeds stall when
+many zeros are real.
 
 On the full rungs, with real coefficients, a root whose imaginary part is
 at most twice its residual and that has no other root within twice that
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
@@ -75,7 +75,7 @@ from .laguerre import (
     recommended_precision,
 )
 from .measures import DiscreteMeasure
-from .precision import mantissa_bits, op_precision, workprec
+from .precision import as_real, mantissa_bits, op_precision, workprec
 from .szego import curve_point, real_crossings
 
 SWEEP_CAP = 200
@@ -122,19 +122,7 @@ class ZeroSet:
 
 
 def _start_circle(m, radius, offset_turns):
-    pts = []
-    for i in range(m):
-        angle = 2 * mp.pi * (i + offset_turns) / m
-        pts.append(radius * mp.expj(angle))
-    return pts
-
-
-class _Half(NamedTuple):
-    """Starts of a conjugate-pair run: upper-half-plane points (their
-    conjugates are implied) and real points."""
-
-    upper: list
-    reals: list
+    return [radius * mp.expj(2 * mp.pi * (i + offset_turns) / m) for i in range(m)]
 
 
 def _real_zero_counts(spec):
@@ -164,13 +152,23 @@ def _angles(count, turns):
         return [turns * mp.pi * (k + mpf(1) / 2) / count for k in range(count)]
 
 
-def _limit_law_starts(spec, m, counts=None):
-    """Seeds on Gamma_(r_eff), or None when alpha is degenerate or outside
-    the paper's regime (r_eff < 0).
+def _pair_starts(point, m, counts, reals):
+    """(starts, P) of a conjugate-pair run: P = (m - R)/2 upper starts
+    point(theta_k), theta_k = pi (k + 1/2) / P, then R+ copies of reals[0]
+    and R- of reals[1], for counts = (R+, R-)."""
+    pos, neg = counts
+    npairs = (m - pos - neg) // 2
+    upper = [point(t) for t in _angles(npairs, 1)]
+    return upper + [reals[0]] * pos + [reals[1]] * neg, npairs
 
-    Without counts, m seeds at theta_k = 2 pi (k + 1/2) / m.  With
-    counts = (R+, R-), both at most 1, a _Half: R+ seeds at x0, R- at
-    x_neg and P = (m - R)/2 upper seeds at theta_k = pi (k + 1/2) / P.
+
+def _limit_law_starts(spec, m, counts=None):
+    """(starts, npairs) on Gamma_(r_eff), or None when alpha is degenerate
+    or outside the paper's regime (r_eff < 0).
+
+    Without counts, m seeds at theta_k = 2 pi (k + 1/2) / m and npairs = 0.
+    With counts = (R+, R-), both at most 1, the _pair_starts of the curve
+    and its real crossings x0, x_neg.
     """
     try:
         r_eff = param_decomposition(spec.n, spec.alpha).r_eff
@@ -181,19 +179,9 @@ def _limit_law_starts(spec, m, counts=None):
     with workprec(_SEED_BITS):
         r_eff = +r_eff
     if counts is None:
-        return [curve_point(r_eff, t, _SEED_BITS) for t in _angles(m, 2)]
-    pos, neg = counts
-    x0, x_neg = real_crossings(r_eff, _SEED_BITS)
-    upper = [curve_point(r_eff, t, _SEED_BITS) for t in _angles((m - pos - neg) // 2, 1)]
-    return _Half(upper, [x0] * pos + [x_neg] * neg)
-
-
-def _half_circle(m, radius, counts):
-    """_Half starts on the circle |z| = radius: R+ at radius, R- at
-    -radius, and P = (m - R)/2 at angles pi (k + 1/2) / P."""
-    pos, neg = counts
-    thetas = _angles((m - pos - neg) // 2, 1)
-    return _Half([radius * mp.expj(t) for t in thetas], [radius] * pos + [-radius] * neg)
+        return [curve_point(r_eff, t, _SEED_BITS) for t in _angles(m, 2)], 0
+    crossings = real_crossings(r_eff, _SEED_BITS)
+    return _pair_starts(lambda t: curve_point(r_eff, t, _SEED_BITS), m, counts, crossings)
 
 
 def _newton_polygon_starts(coeffs, offset_turns):
@@ -327,25 +315,6 @@ def _sweeps(coeffs, starts, npairs, tol):
     return roots, small, sweep
 
 
-def _aberth(coeffs, starts, tol):
-    """Run Aberth-Ehrlich from the given starts.
-
-    Returns (roots, converged, sweeps).
-    """
-    return _sweeps(coeffs, starts, 0, tol)
-
-
-def _aberth_pairs(coeffs, upper, reals, tol):
-    """Aberth-Ehrlich for real coefficients on the roots upper, their
-    conjugates and reals, iterating only upper and reals (reals in real
-    arithmetic).
-
-    Returns (upper, reals, converged, sweeps).
-    """
-    roots, converged, sweeps = _sweeps(coeffs, list(upper) + list(reals), len(upper), tol)
-    return roots[: len(upper)], [x.real for x in roots[len(upper) :]], converged, sweeps
-
-
 def _polish(coeffs, roots):
     """Two Newton steps, a residual and a radius per root of the monic
     coeffs (degree m >= 1); returns a (root, residual, radius) triple each.
@@ -402,16 +371,6 @@ def _polish(coeffs, roots):
     return polished
 
 
-def _mirror(coeffs, upper, reals):
-    """_polish on upper and reals; the lower half is the exact conjugate of
-    upper and shares its residuals and radii."""
-    k = len(upper)
-    polished = _polish(coeffs, list(upper) + list(reals))
-    # conjugate() is exact at the roots' precision
-    lower = [(z.conjugate(), res, rad) for z, res, rad in polished[:k]]
-    return polished[:k] + lower + polished[k:]
-
-
 def _snap_real(coeffs, polished):
     """Set Im z = 0 where |Im z| <= 2 residual and no other root lies within
     2 |Im z|; the real point is polished again (_polish keeps it real).
@@ -447,13 +406,9 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
     if tol is None:
         tol = mpf(2) ** (-(precision_bits // 2))
     else:
-        try:
-            value = None if isinstance(tol, bool) else mpf(tol)
-        except (TypeError, ValueError):
-            value = None
-        if value is None or not (value > 0) or not mp.isfinite(value):
+        tol = as_real(tol, "tol")
+        if not (tol > 0) or not mp.isfinite(tol):
             raise InvalidParameter(f"need a finite real tol > 0, got {tol!r}")
-        tol = value
     n = coeffs.degree
 
     with workprec(prec + 16):
@@ -507,9 +462,10 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
 def _iterate_with_restarts(c, m, tol, spec, real):
     """Aberth from each rung of the ladder in turn; returns (polished rows,
     rung name, sweeps) of the first to converge within tol, else of the
-    attempt with the smallest worst residual.  A rung's starts are built
-    only when it runs; a rung whose starts are None is skipped, and one
-    whose starts are a _Half runs on conjugate pairs."""
+    attempt with the smallest worst residual.  Each rung yields (starts,
+    npairs) as _sweeps takes them, built only when the rung runs, or None to
+    be skipped.  The first npairs rows stand for conjugate pairs: their exact
+    conjugates follow them, with the same residuals and radii."""
     offset = mpf(_GOLDEN)
     geo_radius = abs(c[0]) ** (mpf(1) / m)
     counts = _real_zero_counts(spec) if spec is not None and real else None
@@ -517,30 +473,30 @@ def _iterate_with_restarts(c, m, tol, spec, real):
         counts = None  # one seed per side; naive real seeds stall
     rungs = {
         "limit-law": lambda: None if spec is None else _limit_law_starts(spec, m, counts),
-        "circle": lambda: _start_circle(m, mpf(1) / 2, offset),
-        "geometric": lambda: _start_circle(m, geo_radius, offset),
-        "newton-polygon": lambda: _newton_polygon_starts(c, offset),
+        "circle": lambda: (_start_circle(m, mpf(1) / 2, offset), 0),
+        "geometric": lambda: (_start_circle(m, geo_radius, offset), 0),
+        "newton-polygon": lambda: (_newton_polygon_starts(c, offset), 0),
     }
     if geo_radius < _CLUSTER_SIGNAL:
         if counts is not None:
-            rungs["geometric"] = lambda: _half_circle(m, geo_radius, counts)
+            rungs["geometric"] = lambda: _pair_starts(
+                lambda t: geo_radius * mp.expj(t), m, counts, (geo_radius, -geo_radius)
+            )
         order = ("geometric", "circle", "newton-polygon")
     else:
         order = ("limit-law", "circle", "geometric", "newton-polygon")
 
     best = None
     for name in order:
-        starts = rungs[name]()
-        if starts is None:
+        run = rungs[name]()
+        if run is None:
             continue
-        if isinstance(starts, _Half):
-            upper, reals, converged, sweeps = _aberth_pairs(
-                c, starts.upper, starts.reals, tol
-            )
-            polished = _mirror(c, upper, reals)
-        else:
-            roots, converged, sweeps = _aberth(c, starts, tol)
-            polished = _polish(c, roots)
+        starts, npairs = run
+        roots, converged, sweeps = _sweeps(c, starts, npairs, tol)
+        polished = _polish(c, roots)
+        # conjugate() is exact at the roots' precision
+        lower = [(z.conjugate(), res, rad) for z, res, rad in polished[:npairs]]
+        polished[npairs:npairs] = lower
         worst = max(res for _, res, _ in polished)
         if converged and worst <= tol:
             return polished, name, sweeps

@@ -34,7 +34,7 @@ from mpmath import fp, mp, mpc, mpf
 
 from .errors import InvalidParameter, NonConvergence
 from .fixed import cdiv, cexp, cmul, to_fixed, to_mpc
-from .precision import op_precision, workprec
+from .precision import as_real, op_precision, workprec
 
 DEFAULT_TRACE_PRECISION = 192
 # Halley steps before _w0 gives up; mpmath's lambertw stops at the same count.
@@ -102,7 +102,7 @@ def phi_map(z, precision_bits: int = 128):
 
 
 def _check_r(r) -> mpf:
-    r = mpf(r) if not isinstance(r, mpf) else r
+    r = r if isinstance(r, mpf) else as_real(r, "r")
     if not (r >= 0) or not mp.isfinite(r):
         raise InvalidParameter(f"need finite r >= 0, got {r}")
     return r
@@ -350,6 +350,7 @@ def trace_level_curve(
     r, M: int, precision_bits: int = DEFAULT_TRACE_PRECISION
 ) -> LevelCurve:
     """Gamma_r at M equispaced image angles theta_j = 2 pi j / M."""
+    r = _check_r(r)
     check_node_count(M)
     with workprec(op_precision(precision_bits, r) + 16):
         thetas = tuple(_theta(j, M) for j in range(M))
@@ -360,9 +361,9 @@ def _mirrored_curve(r, thetas, precision_bits) -> LevelCurve:
     """Gamma_r at M image angles with thetas[M - j] = 2 pi - thetas[j].
 
     Nodes 0 .. M/2 come from _half_node, and node M - j is the exact
-    conjugate of node j; max_residual is taken over nodes 0 .. M/2.
+    conjugate of node j; max_residual is taken over nodes 0 .. M/2; r has
+    passed _check_r.
     """
-    r = _check_r(r)
     m = len(thetas)
     with workprec(op_precision(precision_bits, r) + 16):
         crossings = real_crossings(r, precision_bits)

@@ -236,6 +236,14 @@ def test_verify_balayage_identities():
         report.worst("nonexistent")
 
 
+def test_discretizations_reject_a_non_real_r():
+    for r in ("abc", [1], True):
+        for build in (discretize_mu_r, graded_mu_r):
+            with pytest.raises(InvalidParameter):
+                build(r, 16, PREC)
+    assert discretize_mu_r("inf", 16, PREC).label == "delta_0"
+
+
 def test_verify_balayage_rejects_misplaced_points():
     with pytest.raises(InvalidTestPoint):
         verify_balayage(mpf(1), 64, (mpc(5),), (), PREC)
@@ -457,6 +465,10 @@ def test_weighted_leja_validation():
     for r in (mpf(-1), mp.inf, mp.nan):
         with pytest.raises(InvalidParameter):
             weighted_leja(r, 2, 64, 128)
+    # N must be an int: 1.5 used to fail deep inside, True to run as N = 1
+    for N in (1.5, True):
+        with pytest.raises(InvalidParameter):
+            weighted_leja(1, N, 16, 128)
 
 
 def test_external_field():

@@ -116,12 +116,17 @@ def test_vieta_sum_and_product():
 
 
 def test_zeros_closed_under_conjugation():
-    # The pair rung returns the lower half as exact conjugates; compared
-    # without rounding (conjugate() would round to the ambient precision).
+    # The pair rung returns the lower half as exact conjugates, each with its
+    # partner's residual and radius; compared without rounding (conjugate()
+    # and unary minus would round to the ambient precision).
     zs = contracted_zeros(12, mpf("-12.25"), 192)
     assert zs.start == "limit-law"
-    for z in zs.zeros:
-        assert any(w.real == z.real and w.imag + z.imag == 0 for w in zs.zeros)
+    rows = list(zip(zs.zeros, zs.residuals, zs.radii))
+    for z, res, rad in rows:
+        assert any(
+            w.real == z.real and w.imag + z.imag == 0 and (r, d) == (res, rad)
+            for w, r, d in rows
+        )
 
 
 def test_origin_multiplicity_for_integer_alpha_in_degenerate_set():
@@ -170,25 +175,18 @@ LADDER = ("limit-law", "circle", "geometric", "newton-polygon")
 
 
 def _fail_first(monkeypatch, k):
-    """Make the first k Aberth runs, full or conjugate-pair, report
-    non-convergence; returns the list of runs made ("full" or "pairs")."""
-    full, pairs = rootfinding._aberth, rootfinding._aberth_pairs
+    """Make the first k Aberth runs report non-convergence; returns the list
+    of runs made ("pairs" when npairs > 0, else "full")."""
+    sweeps = rootfinding._sweeps
     calls = []
 
-    def aberth(coeffs, starts, tol):
-        calls.append("full")
+    def fake(coeffs, starts, npairs, tol):
+        calls.append("pairs" if npairs > 0 else "full")
         if len(calls) <= k:
             return list(starts), False, 0
-        return full(coeffs, starts, tol)
+        return sweeps(coeffs, starts, npairs, tol)
 
-    def aberth_pairs(coeffs, upper, reals, tol):
-        calls.append("pairs")
-        if len(calls) <= k:
-            return list(upper), list(reals), False, 0
-        return pairs(coeffs, upper, reals, tol)
-
-    monkeypatch.setattr(rootfinding, "_aberth", aberth)
-    monkeypatch.setattr(rootfinding, "_aberth_pairs", aberth_pairs)
+    monkeypatch.setattr(rootfinding, "_sweeps", fake)
     return calls
 
 
@@ -296,14 +294,19 @@ def test_szego_real_zero_count(n, alpha):
 def test_unused_rungs_build_no_starts(monkeypatch):
     # The ladder builds a rung's starts only when that rung runs, so a fig 2
     # solve that converges on the limit-law rung never builds the Newton
-    # polygon, the circle or the geometric circle.
+    # polygon, the circle or the geometric circle, and a superexponential
+    # solve that converges on the paired geometric rung builds neither the
+    # circle nor the Newton polygon.
     def unused(*args):
         raise AssertionError("starts built for a rung that did not run")
 
-    for name in ("_newton_polygon_starts", "_start_circle", "_half_circle"):
+    for name in ("_newton_polygon_starts", "_start_circle"):
         monkeypatch.setattr(rootfinding, name, unused)
     zs = contracted_zeros(60, ap_real("-60.1", 512), 512)
     assert zs.start == "limit-law" and len(zs) == 60
+    calls = _fail_first(monkeypatch, 0)
+    zs = contracted_zeros(12, _superexponential_alpha(12))
+    assert zs.start == "geometric" and calls == ["pairs"] and len(zs) == 12
 
 
 def test_limit_law_seeds_figure_two():
@@ -468,7 +471,7 @@ def test_aberth_skips_a_start_where_p_is_exactly_zero():
     coeffs = [mpf(-1), mpf(0), mpf(0), mpf(1)]
     with workprec(144):
         starts = [mpc(1), mpc("-0.4", "0.7"), mpc("-0.6", "-0.9")]
-        roots, converged, sweeps = rootfinding._aberth(coeffs, starts, mpf(2) ** -64)
+        roots, converged, sweeps = rootfinding._sweeps(coeffs, starts, 0, mpf(2) ** -64)
         assert converged and roots[0] == 1
         for r, z in zip(_cube_roots_of_unity(), roots):
             assert abs(z - r) <= mpf(2) ** -64
@@ -485,7 +488,9 @@ def test_aberth_substitutes_a_zero_derivative():
         s, b = rootfinding._fixed_coeffs(coeffs, F)
         assert s == 0 and rootfinding._horner_fixed(b, 0, 0, F) == (-(1 << F), 0, 0, 0)
         a = mpc("0.6", "0.3")
-        roots, converged, sweeps = rootfinding._aberth(coeffs, [mpc(0), a, -a], mpf(2) ** -64)
+        roots, converged, sweeps = rootfinding._sweeps(
+            coeffs, [mpc(0), a, -a], 0, mpf(2) ** -64
+        )
         assert converged and roots[0] == 1
         for r in _cube_roots_of_unity():
             assert min(abs(z - r) for z in roots) <= mpf(2) ** -64

@@ -95,7 +95,8 @@ def test_real_crossings_match_lambertw(bits):
 
 
 def test_real_crossings_rejects_negative():
-    for r in (-1, mp.inf, mp.nan):
+    # text, lists and bools are typed errors too; True is not read as r = 1
+    for r in (-1, mp.inf, mp.nan, "abc", [1], True):
         with pytest.raises(InvalidParameter):
             real_crossings(r, PREC)
 
@@ -202,8 +203,9 @@ def test_locate_classifies_against_gamma_r_not_the_polyline():
 
 
 def test_trace_validates_inputs():
-    with pytest.raises(InvalidParameter):
-        trace_level_curve(-1, 64, PREC)
+    for r in (-1, True, "abc"):
+        with pytest.raises(InvalidParameter):
+            trace_level_curve(r, 64, PREC)
     with pytest.raises(InvalidParameter):
         trace_level_curve(1, 15, PREC)
     with pytest.raises(InvalidParameter):
