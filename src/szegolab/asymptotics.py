@@ -29,7 +29,7 @@ from .laguerre import (
     param_decomposition,
     recommended_precision,
 )
-from .precision import op_precision, schedule_precision, workprec
+from .precision import as_real, op_precision, schedule_precision, workprec
 from .rootfinding import ZeroSet, contracted_zeros
 from .szego import LevelCurve, _phi, phi_map, trace_level_curve
 
@@ -58,7 +58,7 @@ class AlphaSchedule:
 
     def alpha_at(self, n: int) -> mpf:
         """alpha_n at a precision that keeps dist fully resolved."""
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise InvalidSchedule(f"need positive int n, got {n}")
         prec = self.precision_bits(n)
         with workprec(prec):
@@ -82,6 +82,13 @@ class AlphaSchedule:
         return mp.inf
 
 
+def _schedule_param(value, name) -> mpf:
+    try:
+        return value if isinstance(value, mpf) else as_real(value, name)
+    except InvalidParameter as exc:
+        raise InvalidSchedule(str(exc)) from exc
+
+
 def make_schedule(kind: str, c=None, r=None) -> AlphaSchedule:
     """generic(c) with c in (0, 1/2]; exponential(r) with finite r >= 0;
     superexponential (no parameters)."""
@@ -92,14 +99,14 @@ def make_schedule(kind: str, c=None, r=None) -> AlphaSchedule:
     if kind == "generic":
         if c is None:
             raise InvalidSchedule("generic schedule needs parameter c")
-        c = mpf(c) if not isinstance(c, mpf) else c
+        c = _schedule_param(c, "c")
         if not (0 < c <= mpf(1) / 2):
             raise InvalidSchedule(f"need c in (0, 1/2], got {mp.nstr(c, 8)}")
         return AlphaSchedule(kind="generic", c=c)
     if kind == "exponential":
         if r is None:
             raise InvalidSchedule("exponential schedule needs parameter r")
-        r = mpf(r) if not isinstance(r, mpf) else r
+        r = _schedule_param(r, "r")
         if not (r >= 0) or not mp.isfinite(r):
             raise InvalidSchedule(f"need finite r >= 0, got {mp.nstr(r, 8)}")
         return AlphaSchedule(kind="exponential", r=r)

@@ -48,6 +48,22 @@ def test_make_schedule_validation():
             make_schedule("exponential", r=bad)
     with pytest.raises(InvalidSchedule):
         make_schedule("superexponential", c=mpf("0.1"))
+    for bad in ("abc", True):
+        with pytest.raises(InvalidSchedule):
+            make_schedule("generic", c=bad)
+        with pytest.raises(InvalidSchedule):
+            make_schedule("exponential", r=bad)
+    # an mpf passes untouched; anything else is read at the ambient precision
+    c = ap_real("0.1", 256)
+    assert make_schedule("generic", c=c).c is c
+    assert make_schedule("exponential", r="0.5").r == mpf("0.5")
+
+
+def test_alpha_at_rejects_a_non_int_degree():
+    sched = make_schedule("generic", c=0.1)
+    for bad in (True, 1.0, 0):
+        with pytest.raises(InvalidSchedule):
+            sched.alpha_at(bad)
 
 
 def test_generic_schedule_alpha_exact():

@@ -29,6 +29,8 @@ def test_spec_validation():
     with pytest.raises(InvalidParameter):
         LaguerreSpec(0, mpf(1), mpf(1))
     with pytest.raises(InvalidParameter):
+        LaguerreSpec(True, 0.5, 1)
+    with pytest.raises(InvalidParameter):
         LaguerreSpec(3, mpf(1), mpf(0))
     with pytest.raises(InvalidParameter):
         LaguerreSpec(3, "1.5", mpf(1))
@@ -200,6 +202,14 @@ def test_param_decomposition_rejects_degenerate():
     assert param_decomposition(5, -6, 128).dist == 1
 
 
+def test_degree_must_be_an_int_not_a_bool():
+    for bad in (True, 1.0, 0):
+        with pytest.raises(InvalidParameter):
+            param_decomposition(bad, mpf("-1.5"))
+        with pytest.raises(InvalidParameter):
+            recommended_precision(bad, mpf("0.5"))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=-80.0, max_value=20.0))
 def test_param_decomposition_dist_matches_brute_force(alpha_f):
@@ -252,3 +262,22 @@ def test_askey_validation():
         askey_check(2, 0, 1, -1)
     with pytest.raises(InvalidParameter):
         askey_check(-1, 0, 1, 0)
+    with pytest.raises(InvalidParameter):
+        askey_check(True, mpf("-0.5"), 0, 0)
+
+
+@pytest.mark.parametrize(
+    "n, alpha, beta, x",
+    [
+        (1, mpf("-0.5"), 0, 0),
+        (0, mpf("-1.25"), mpf("0.5"), ap_real("0.3", 192)),
+        (4, mpf("-4.3"), -4, mpf("0.5")),
+        (3, mpf("0.2"), mpf("7.9"), mpf("2.0")),
+        (20, mpf("0.5"), mpf("2.25"), mpf("1.0")),
+    ],
+)
+def test_askey_identity_holds_to_working_precision(n, alpha, beta, x):
+    # Criterion 8's cases, a wide beta - alpha and a high degree: both sides
+    # agree to half of the default 192 bits.
+    res = askey_check(n, alpha, beta, x)
+    assert res.abs_error <= mpf(2) ** -96 * max(1, abs(res.lhs))
