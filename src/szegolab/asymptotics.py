@@ -84,31 +84,32 @@ class AlphaSchedule:
 
 def _schedule_param(value, name) -> mpf:
     try:
-        return value if isinstance(value, mpf) else as_real(value, name)
+        return as_real(value, name)
     except InvalidParameter as exc:
         raise InvalidSchedule(str(exc)) from exc
 
 
 def make_schedule(kind: str, c=None, r=None) -> AlphaSchedule:
     """generic(c) with c in (0, 1/2]; exponential(r) with finite r >= 0;
-    superexponential (no parameters)."""
+    superexponential (no parameters); no kind takes another's parameter.
+    c and r are numbers (precision.as_real); text goes through ap_real."""
     if kind not in _SCHEDULE_KINDS:
         raise InvalidSchedule(
             f"unknown schedule kind {kind!r}; expected one of {_SCHEDULE_KINDS}"
         )
     if kind == "generic":
-        if c is None:
-            raise InvalidSchedule("generic schedule needs parameter c")
+        if c is None or r is not None:
+            raise InvalidSchedule("generic schedule takes parameter c and no r")
         c = _schedule_param(c, "c")
         if not (0 < c <= mpf(1) / 2):
             raise InvalidSchedule(f"need c in (0, 1/2], got {mp.nstr(c, 8)}")
         return AlphaSchedule(kind="generic", c=c)
     if kind == "exponential":
-        if r is None:
-            raise InvalidSchedule("exponential schedule needs parameter r")
+        if r is None or c is not None:
+            raise InvalidSchedule("exponential schedule takes parameter r and no c")
         r = _schedule_param(r, "r")
-        if not (r >= 0) or not mp.isfinite(r):
-            raise InvalidSchedule(f"need finite r >= 0, got {mp.nstr(r, 8)}")
+        if r < 0:
+            raise InvalidSchedule(f"need r >= 0, got {mp.nstr(r, 8)}")
         return AlphaSchedule(kind="exponential", r=r)
     if c is not None or r is not None:
         raise InvalidSchedule("superexponential schedule takes no parameters")
@@ -141,8 +142,10 @@ def _theta_of(z):
 
 def ks_uniform_theta(zeros, precision_bits: int = 128) -> mpf:
     """Kolmogorov-Smirnov distance of {arg phi(zeta_i)} from uniform [0, 2pi)."""
-    prec = op_precision(precision_bits, *zeros)
     n = len(zeros)
+    if n == 0:
+        raise InvalidParameter("empty zero set")
+    prec = op_precision(precision_bits, *zeros)
     with workprec(prec):
         thetas = sorted(_theta_of(z) for z in zeros)
         two_pi = 2 * mp.pi
@@ -321,6 +324,8 @@ def zero_distribution_report(
 
 def level_median(zs: ZeroSet, precision_bits: int = 128) -> mpf:
     """Median over zeros of -log|phi(zeta)|, the observed level."""
+    if not zs.zeros:
+        raise InvalidParameter("empty zero set")
     prec = op_precision(precision_bits, *zs.zeros)
     with workprec(prec):
         levels = sorted(-mp.log(abs(phi_map(z, precision_bits))) for z in zs.zeros)

@@ -36,6 +36,7 @@ from .potential import (
     weighted_leja,
 )
 from .precision import (
+    ap_complex,
     ap_real,
     check_precision,
     format_real,
@@ -119,25 +120,6 @@ def _as_int(name, value):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _as_mpf(name, value, precision_bits):
-    try:
-        return ap_real(str(value), precision_bits)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name} must be a real number, got {value!r}"
-        ) from None
-
-
-def _as_mpc(name, value, precision_bits):
-    try:
-        with workprec(precision_bits):
-            return mpc(mp.mpmathify(str(value).strip()))
-    except (ValueError, TypeError):
-        raise ConfigurationError(
-            f"{name} must be a real or complex number, got {value!r}"
-        ) from None
-
-
 def _precision(ns, default):
     """The resolved precision, or the command's own default if none was set."""
     if ns.precision is None:
@@ -157,7 +139,7 @@ def _level_inputs(ns):
         raise ConfigurationError(f"{ns.command} requires --r")
     precision = _precision(ns, 192)
     nodes = _nodes(ns)
-    return _as_mpf("r", ns.r, precision), nodes, precision
+    return ap_real(ns.r, precision), nodes, precision
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +409,15 @@ def cmd_zeros(ns) -> int:
     mantissa = str(alpha_text).lower().split("e")[0].lstrip("+-0.")
     digits = sum(ch.isdigit() for ch in mantissa)
     bits = max(320, math.ceil(digits * math.log2(10)) + 64)
-    exact = _as_mpf("alpha", alpha_text, bits)
+    exact = ap_real(alpha_text, bits)
     precision = _precision(ns, None) or recommended_precision(n, exact)
-    alpha = _as_mpf("alpha", alpha_text, precision)
+    alpha = ap_real(alpha_text, precision)
     if alpha != exact and mp.isint(alpha) and -n <= alpha <= -1:
         raise ConfigurationError(
             f"alpha = {alpha_text} rounds onto S_{n} at {precision} bits; "
             "raise --precision or omit it"
         )
-    tol = None if ns.tol is None else _as_mpf("tol", ns.tol, precision)
+    tol = None if ns.tol is None else ap_real(ns.tol, precision)
     zs = contracted_zeros(n, alpha, precision, tol)
     rows = ((z.real, z.imag, res) for z, res in zip(zs.zeros, zs.residuals))
     _emit(
@@ -474,7 +456,7 @@ def cmd_measure(ns) -> int:
 
 def cmd_potential(ns) -> int:
     r, nodes, prec = _level_inputs(ns)
-    points = [_as_mpc("at", text, prec) for text in ns.at]
+    points = [ap_complex(text, prec) for text in ns.at]
     mu = discretize_mu_r(r, nodes, prec)
     rows = [(p.real, p.imag, log_potential(mu, p, prec)) for p in points]
     _emit(
@@ -492,7 +474,7 @@ def cmd_verify(ns) -> int:
     count = _as_int("count", ns.count)
     grid = _as_int("grid", 16 * count if ns.grid is None else ns.grid)
     nodes = _nodes(ns)
-    r = _as_mpf("r", "1" if ns.r is None else ns.r, precision)
+    r = ap_real("1" if ns.r is None else ns.r, precision)
     checks = run_suite(ns.suite, r, nodes, precision, count, grid)
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
@@ -507,7 +489,7 @@ def cmd_leja(ns) -> int:
     precision = _precision(ns, 128)
     count = _as_int("count", ns.count)
     grid = _as_int("grid", 16 * count if ns.grid is None else ns.grid)
-    r = _as_mpf("r", ns.r, precision)
+    r = ap_real(ns.r, precision)
     result = weighted_leja(r, count, grid, precision)
     target, rel = result.robin_gap(r, precision)
     print(
@@ -541,8 +523,8 @@ def cmd_experiment(ns) -> int:
             raise ConfigurationError("experiment --schedule requires --n")
         sched = make_schedule(
             ns.schedule,
-            c=None if ns.c is None else _as_mpf("c", ns.c, 192),
-            r=None if ns.rate is None else _as_mpf("rate", ns.rate, 192),
+            c=None if ns.c is None else ap_real(ns.c, 192),
+            r=None if ns.rate is None else ap_real(ns.rate, 192),
         )
         precision = _precision(ns, None) or sched.precision_bits(n)
         alpha = sched.alpha_at(n)

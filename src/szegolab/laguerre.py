@@ -17,33 +17,13 @@ from mpmath import mp, mpc, mpf
 
 from .errors import DegenerateParameter, InvalidParameter
 from .precision import (
+    as_real,
     default_precision,
     mantissa_bits,
     op_precision,
     schedule_precision,
     workprec,
 )
-
-
-def _as_scalar(x, what: str):
-    """Coerce int/float/mpf to a finite mpf without re-rounding an existing mpf.
-
-    Strings are rejected: parsing a decimal literal needs an explicit
-    precision choice, which is what precision.ap_real is for.
-    """
-    if isinstance(x, bool) or isinstance(x, str):
-        raise InvalidParameter(f"{what} must be numeric; build strings via ap_real")
-    if isinstance(x, int):
-        with mp.workprec(max(64, x.bit_length() + 1)):
-            x = mpf(x)
-    elif isinstance(x, float):
-        with mp.workprec(64):
-            x = mpf(x)
-    elif not isinstance(x, mpf):
-        raise InvalidParameter(f"unsupported type for {what}: {type(x).__name__}")
-    if not mp.isfinite(x):
-        raise InvalidParameter(f"{what} must be finite, got {x}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -57,15 +37,15 @@ class LaguerreSpec:
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise InvalidParameter(f"degree n must be a positive int, got {self.n}")
-        object.__setattr__(self, "alpha", _as_scalar(self.alpha, "alpha"))
-        object.__setattr__(self, "scale", _as_scalar(self.scale, "scale"))
+        object.__setattr__(self, "alpha", as_real(self.alpha, "alpha"))
+        object.__setattr__(self, "scale", as_real(self.scale, "scale"))
         if not (self.scale > 0):
             raise InvalidParameter(f"scale must be positive, got {self.scale}")
 
     @classmethod
     def contracted(cls, n: int, alpha) -> "LaguerreSpec":
         """Spec for L_n^(alpha)(n z), the contraction used throughout."""
-        return cls(n, alpha, _as_scalar(n, "scale"))
+        return cls(n, alpha, n)
 
 
 @dataclass(frozen=True)
@@ -220,7 +200,7 @@ def param_decomposition(
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidParameter(f"degree n must be a positive int, got {n}")
-    alpha = _as_scalar(alpha, "alpha")
+    alpha = as_real(alpha, "alpha")
     if precision_bits is None:
         precision_bits = default_precision(n)
     prec = op_precision(precision_bits, alpha)
@@ -260,7 +240,7 @@ def recommended_precision(n: int, alpha) -> int:
     schedule_precision at dist(alpha, S_n), and never below the bits alpha
     itself carries plus 64.
     """
-    a = _as_scalar(alpha, "alpha")
+    a = as_real(alpha, "alpha")
     try:
         dist_log2 = mp.log(param_decomposition(n, a, default_precision(n)).dist, 2)
     except DegenerateParameter:
@@ -290,9 +270,9 @@ def askey_check(n: int, alpha, beta, x, precision_bits: int | None = None) -> As
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InvalidParameter(f"degree n must be a nonnegative int, got {n}")
-    alpha = _as_scalar(alpha, "alpha")
-    beta = _as_scalar(beta, "beta")
-    x = _as_scalar(x, "x")
+    alpha = as_real(alpha, "alpha")
+    beta = as_real(beta, "beta")
+    x = as_real(x, "x")
     if not (beta > alpha):
         raise InvalidParameter(f"need beta > alpha, got beta={beta}, alpha={alpha}")
     if x < 0:

@@ -46,7 +46,7 @@ from mpmath.libmp.libelefun import pi_fixed
 from .errors import InvalidParameter, InvalidTestPoint
 from .fixed import cmul, gaussian_ints, to_fixed, to_mpc
 from .measures import DiscreteMeasure, _log_pair_sum, _sq_dist, log_potential
-from .precision import as_real, op_precision, workprec
+from .precision import op_precision, workprec
 from .szego import (
     _SHADOW_U,
     DEFAULT_TRACE_PRECISION,
@@ -122,7 +122,6 @@ def discretize_mu_r(
 
     r = +inf yields the limit measure delta_0.
     """
-    r = r if isinstance(r, mpf) else as_real(r, "r")
     if r == mp.inf:
         return DiscreteMeasure(points=(mpc(0),), weights=(mpf(1),), label="delta_0")
     curve = trace_level_curve(r, M, precision_bits)
@@ -131,7 +130,7 @@ def discretize_mu_r(
     return DiscreteMeasure(
         points=curve.points,
         weights=(w,) * M,
-        label=f"mu_r(r={mp.nstr(r, 10)}, M={M})",
+        label=f"mu_r(r={mp.nstr(curve.r, 10)}, M={M})",
     )
 
 
@@ -327,7 +326,8 @@ def weighted_energy(mu: DiscreteMeasure, precision_bits: int = 128) -> EnergyRes
     with phi_ext from DEFAULT_FIELD; the diagonal exclusion biases I by
     O(log M / M), which the calling checks absorb into their tolerances.
     The pair part is -sum_i w_i sum_{j>i} w_j log|x_i - x_j|^2, one log
-    per block of squared distances; zero-weight points are skipped.  The
+    per block of squared distances.  Zero-weight points are skipped, and a
+    weighted point at 0, where phi_ext is infinite, is refused.  The
     support is converted to Gaussian integers once, and every row runs the
     exact-integer kernel measures._log_pair_sum on them.
     """
@@ -337,6 +337,8 @@ def weighted_energy(mu: DiscreteMeasure, precision_bits: int = 128) -> EnergyRes
     prec = op_precision(precision_bits, *pts)
     with workprec(prec + 16):
         support, weights = zip(*((x, w) for x, w in zip(pts, mu.weights) if w))
+        if any(x == 0 for x in support):
+            raise InvalidParameter("a support point at 0 gives infinite energy")
         xs, ys, e = gaussian_ints(support)
         m = len(support)
         rows = []
@@ -348,7 +350,7 @@ def weighted_energy(mu: DiscreteMeasure, precision_bits: int = 128) -> EnergyRes
                 )
             rows.append(-weights[i] * row)
         field_sum = mp.fsum(
-            w * DEFAULT_FIELD.phi(x, precision_bits) for x, w in zip(pts, mu.weights)
+            w * DEFAULT_FIELD.phi(x, precision_bits) for x, w in zip(support, weights)
         )
         energy = mp.fsum(rows) + 2 * field_sum
         return EnergyResult(energy=energy, robin=energy - field_sum)

@@ -9,10 +9,10 @@ argument and runs under ``mp.workprec``.  Two rules hold package-wide:
   an operation is the maximum of the requested precision and the mantissa
   width of every operand (``op_precision``).
 
-Seeding a value from a decimal string at a chosen precision goes through
-``ap_real``/``ap_complex`` so that, e.g., ``alpha = -60 + 1e-5`` keeps all
-of its information at 512 bits instead of being parsed at the global
-default.
+Every real parameter comes in through ``as_real``, which takes numbers
+exactly and refuses text.  A decimal or complex literal is read only by
+``ap_real``/``ap_complex``, at a stated precision, so that, e.g.,
+``alpha = -60 + 1e-5`` keeps all of its information at 512 bits.
 """
 
 from __future__ import annotations
@@ -45,14 +45,14 @@ def check_precision(precision_bits) -> int:
 
 
 def as_real(value, name) -> mpf:
-    """mpf(value) at the ambient precision; InvalidParameter for a bool or
-    for anything mpf cannot take."""
-    try:
-        if not isinstance(value, bool):
-            return mpf(value)
-    except (TypeError, ValueError):
-        pass
-    raise InvalidParameter(f"need a real {name}, got {value!r}")
+    """value as a finite mpf, exactly: an mpf as it is, an int or a float
+    without rounding.  InvalidParameter for anything else (a bool, a string,
+    a complex number) and for NaN or +-inf; text goes through ap_real."""
+    if isinstance(value, (int, float, mpf)) and not isinstance(value, bool):
+        x = mp.mpmathify(value)  # lossless for these types; an mpf is kept
+        if mp.isfinite(x):
+            return x
+    raise InvalidParameter(f"need a finite real {name}, got {value!r}")
 
 
 @contextmanager
@@ -84,19 +84,29 @@ def op_precision(precision_bits: int, *operands) -> int:
 
 
 def ap_real(value, precision_bits: int) -> mpf:
-    """Construct an mpf from value (str, int, float, mpf) at given bits."""
+    """Construct an mpf from value (str, int, float, mpf) at given bits;
+    InvalidParameter for a literal mpmath cannot read."""
     check_precision(precision_bits)
     with mp.workprec(precision_bits):
-        return mpf(value)
+        try:
+            return mpf(value)
+        except (TypeError, ValueError):
+            raise InvalidParameter(f"cannot read {value!r} as a real number") from None
 
 
 def ap_complex(value, precision_bits: int, imag=None) -> mpc:
-    """Construct an mpc at given bits; accepts (real, imag) string pairs."""
+    """Construct an mpc at given bits from a number, a real or complex
+    literal ("2", "1.5j", "0.1+0.2j") or a (real, imag) pair;
+    InvalidParameter for a literal mpmath cannot read."""
     check_precision(precision_bits)
     with mp.workprec(precision_bits):
-        if imag is not None:
+        try:
+            if imag is None:
+                return mpc(mp.mpmathify(value))
             return mpc(mpf(value), mpf(imag))
-        return mpc(value)
+        # mpmath's complex-literal parser raises AttributeError on bad text
+        except (TypeError, ValueError, AttributeError):
+            raise InvalidParameter(f"cannot read {value!r} as a number") from None
 
 
 def default_precision(n: int) -> int:

@@ -397,8 +397,8 @@ def _sort_key(z):
 def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
     """All roots of a monic polynomial, each with residual <= tol and a radius.
 
-    tol, if given, must be a finite positive real that mpf accepts (not a
-    bool); the default is 2^-(precision_bits // 2).
+    tol, if given, is a positive number (precision.as_real; text goes
+    through ap_real); the default is 2^-(precision_bits // 2).
     """
     if not coeffs.monic_flag:
         raise InvalidParameter("find_roots requires a monic coefficient list")
@@ -407,8 +407,8 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
         tol = mpf(2) ** (-(precision_bits // 2))
     else:
         tol = as_real(tol, "tol")
-        if not (tol > 0) or not mp.isfinite(tol):
-            raise InvalidParameter(f"need a finite real tol > 0, got {tol!r}")
+        if tol <= 0:
+            raise InvalidParameter(f"need tol > 0, got {tol!r}")
     n = coeffs.degree
 
     with workprec(prec + 16):

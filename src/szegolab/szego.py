@@ -102,9 +102,9 @@ def phi_map(z, precision_bits: int = 128):
 
 
 def _check_r(r) -> mpf:
-    r = r if isinstance(r, mpf) else as_real(r, "r")
-    if not (r >= 0) or not mp.isfinite(r):
-        raise InvalidParameter(f"need finite r >= 0, got {r}")
+    r = as_real(r, "r")
+    if r < 0:
+        raise InvalidParameter(f"need r >= 0, got {r}")
     return r
 
 
@@ -324,6 +324,7 @@ def curve_point(r, theta, precision_bits: int = DEFAULT_TRACE_PRECISION) -> mpc:
     corner 1 exactly.
     """
     r = _check_r(r)
+    theta = as_real(theta, "theta")
     with workprec(op_precision(precision_bits, r) + 16):
         return _curve_point(r, theta)
 

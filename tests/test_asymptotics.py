@@ -53,10 +53,17 @@ def test_make_schedule_validation():
             make_schedule("generic", c=bad)
         with pytest.raises(InvalidSchedule):
             make_schedule("exponential", r=bad)
-    # an mpf passes untouched; anything else is read at the ambient precision
+    # a parameter of another kind is refused, as superexponential does
+    with pytest.raises(InvalidSchedule):
+        make_schedule("generic", c=0.1, r="abc")
+    with pytest.raises(InvalidSchedule):
+        make_schedule("exponential", r=0.5, c=True)
+    # an mpf passes untouched; text is read only through ap_real
     c = ap_real("0.1", 256)
     assert make_schedule("generic", c=c).c is c
-    assert make_schedule("exponential", r="0.5").r == mpf("0.5")
+    with pytest.raises(InvalidSchedule):
+        make_schedule("exponential", r="0.5")
+    assert make_schedule("exponential", r=ap_real("0.5", 64)).r == mpf("0.5")
 
 
 def test_alpha_at_rejects_a_non_int_degree():
@@ -316,6 +323,14 @@ def test_level_median_on_synthetic_curve_zeros():
     )
     med = level_median(zs, 192)
     assert gap(med, r, 192) <= mpf("1e-12")
+
+
+def test_empty_zero_sets_are_refused():
+    # an empty set has no median, and its KS distance is no perfect fit
+    with pytest.raises(InvalidParameter):
+        level_median(ZeroSet((), (), 0))
+    with pytest.raises(InvalidParameter):
+        ks_uniform_theta([])
 
 
 def test_level_median_on_real_zeros():

@@ -241,7 +241,9 @@ def test_discretizations_reject_a_non_real_r():
         for build in (discretize_mu_r, graded_mu_r):
             with pytest.raises(InvalidParameter):
                 build(r, 16, PREC)
-    assert discretize_mu_r("inf", 16, PREC).label == "delta_0"
+    with pytest.raises(InvalidParameter):
+        discretize_mu_r("inf", 16, PREC)
+    assert discretize_mu_r(ap_real("inf", PREC), 16, PREC).label == "delta_0"
 
 
 def test_verify_balayage_rejects_misplaced_points():
@@ -274,6 +276,18 @@ def test_weighted_energy_rejects_coincident_points():
     )
     with pytest.raises(InvalidParameter, match="coincident"):
         weighted_energy(mu, precision_bits=PREC)
+
+
+def test_weighted_energy_at_the_origin():
+    # phi_ext is infinite at 0: a zero-weight point there drops out of both
+    # parts, and a point there with positive weight is refused
+    half = mpf(1) / 2
+    with_zero = DiscreteMeasure(points=(0, 1, 2), weights=(0, half, half))
+    without = DiscreteMeasure(points=(1, 2), weights=(half, half))
+    assert weighted_energy(with_zero, PREC) == weighted_energy(without, PREC)
+    assert mp.isfinite(weighted_energy(with_zero, PREC).energy)
+    with pytest.raises(InvalidParameter):
+        weighted_energy(DiscreteMeasure(points=(0, 1), weights=(half, half)), PREC)
 
 
 @pytest.mark.parametrize(

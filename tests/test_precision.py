@@ -3,11 +3,31 @@
 import pytest
 from mpmath import mp, mpc, mpf
 
-from szegolab.errors import ConfigurationError, PrecisionError
+from szegolab.asymptotics import make_schedule, origin_extremality
+from szegolab.errors import (
+    ConfigurationError,
+    InvalidParameter,
+    InvalidSchedule,
+    PrecisionError,
+)
+from szegolab.laguerre import (
+    CoeffList,
+    LaguerreSpec,
+    askey_check,
+    param_decomposition,
+    recommended_precision,
+)
+from szegolab.potential import (
+    discretize_mu_r,
+    graded_mu_r,
+    verify_balayage,
+    weighted_leja,
+)
 from szegolab.precision import (
     MIN_PRECISION_BITS,
     ap_complex,
     ap_real,
+    as_real,
     check_precision,
     decimal_digits,
     default_precision,
@@ -16,6 +36,8 @@ from szegolab.precision import (
     op_precision,
     workprec,
 )
+from szegolab.rootfinding import contracted_zeros, find_roots
+from szegolab.szego import curve_point, real_crossings, trace_level_curve
 
 from conftest import gap
 
@@ -114,3 +136,72 @@ def test_format_real_deterministic_and_precision_faithful():
     assert format_real(3, 128) == "3.0"
     # round trip: parsing the rendered digits recovers the binary value
     assert ap_real(sx, 256) == x
+
+
+# Every public entry that takes a real parameter, called with v in that
+# slot, and where its result shows v (None where it does not).
+_QUADRATIC = CoeffList(coeffs=(mpf(-1), mpf(0), mpf(1)), monic_flag=True)
+_ENTRIES = {
+    "LaguerreSpec alpha": (lambda v: LaguerreSpec(3, v, 1), lambda s: s.alpha),
+    "LaguerreSpec scale": (lambda v: LaguerreSpec(3, 0.5, v), lambda s: s.scale),
+    "param_decomposition": (lambda v: param_decomposition(3, v, 64), None),
+    "recommended_precision": (lambda v: recommended_precision(3, v), None),
+    "askey_check alpha": (lambda v: askey_check(1, v, 2, 0.5, 64), None),
+    "askey_check beta": (lambda v: askey_check(1, -0.5, v, 0.5, 64), None),
+    "askey_check x": (lambda v: askey_check(1, -0.5, 2, v, 64), None),
+    "find_roots tol": (lambda v: find_roots(_QUADRATIC, 128, tol=v), None),
+    "contracted_zeros alpha": (lambda v: contracted_zeros(3, v), lambda z: z.spec.alpha),
+    "contracted_zeros tol": (lambda v: contracted_zeros(3, 0.5, 128, v), None),
+    "origin_extremality": (lambda v: origin_extremality(3, v), None),
+    "real_crossings": (lambda v: real_crossings(v, 128), None),
+    "curve_point r": (lambda v: curve_point(v, 1, 128), None),
+    "curve_point theta": (lambda v: curve_point(0.5, v, 128), None),
+    "trace_level_curve": (lambda v: trace_level_curve(v, 16, 128), lambda c: c.r),
+    "discretize_mu_r": (lambda v: discretize_mu_r(v, 16, 128), None),
+    "graded_mu_r": (lambda v: graded_mu_r(v, 16, 128), lambda cm: cm[0].r),
+    "verify_balayage": (lambda v: verify_balayage(v, 16, (), (), 128), lambda b: b.r),
+    "weighted_leja": (lambda v: weighted_leja(v, 2, 16, 128), None),
+    "make_schedule c": (lambda v: make_schedule("generic", c=v), lambda s: s.c),
+    "make_schedule r": (lambda v: make_schedule("exponential", r=v), lambda s: s.r),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_every_real_parameter_comes_in_through_as_real(entry):
+    call, shown = _ENTRIES[entry]
+    error = InvalidSchedule if entry.startswith("make_schedule") else InvalidParameter
+    for bad in ("0.5", True, float("nan"), mp.nan, float("inf"), -mp.inf):
+        if entry == "discretize_mu_r" and bad == mp.inf:
+            # r = inf is the point mass at 0, the limit of mu_r
+            assert call(bad).label == "delta_0"
+            continue
+        with pytest.raises(error):
+            call(bad)
+    x = ap_real("0.5", 192)
+    result = call(x)
+    if shown is not None:
+        assert shown(result) is x
+
+
+def test_as_real_reads_numbers_exactly():
+    x = ap_real("0.1", 256)
+    assert as_real(x, "x") is x
+    assert as_real(2**60 + 1, "n") == 2**60 + 1
+    assert as_real(0.1, "x") == mpf(0.1)
+    assert make_schedule("exponential", r=2**60 + 1).r == 2**60 + 1
+    for bad in ("0.5", True, 1j, mpc(1, 0), [1], None):
+        with pytest.raises(InvalidParameter):
+            as_real(bad, "x")
+
+
+def test_literals_are_read_only_by_ap_real_and_ap_complex():
+    z = ap_complex("0.1+0.2j", 128)
+    assert (z.real, z.imag) == (ap_real("0.1", 128), ap_real("0.2", 128))
+    assert ap_complex("1.5j", 128) == mpc(0, "1.5")
+    assert ap_complex("-0.3", 128) == ap_real("-0.3", 128)
+    for bad in ("abc", "", None):
+        with pytest.raises(InvalidParameter):
+            ap_real(bad, 128)
+    for bad in ("xyz", "1+2jj", "j", None):
+        with pytest.raises(InvalidParameter):
+            ap_complex(bad, 128)

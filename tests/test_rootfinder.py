@@ -74,7 +74,10 @@ def test_find_roots_rejects_non_finite_tol():
     for tol in ("abc", 1j, mpc(1, 0), [1], True, False):
         with pytest.raises(InvalidParameter):
             find_roots(_coeff_list(-1, 0, 1), 128, tol=tol)
-    assert max(find_roots(_coeff_list(-1, 0, 1), 128, tol="1e-30").residuals) <= mpf("1e-30")
+    with pytest.raises(InvalidParameter):
+        find_roots(_coeff_list(-1, 0, 1), 128, tol="1e-30")
+    tol = ap_real("1e-30", 128)
+    assert max(find_roots(_coeff_list(-1, 0, 1), 128, tol=tol).residuals) <= tol
 
 
 def test_monic_rescaled_triple_origin_root():

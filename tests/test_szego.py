@@ -282,10 +282,10 @@ def test_w0_cap_carries_the_last_iterate(monkeypatch, r, theta):
     # 100 bits) and the real r = 1e-12, theta = 0 (about 40); the double
     # seeds theta = 3.  One step meets no stop rule at 208 bits, and the
     # error carries that step's iterate.
-    z = curve_point(r, mpf(theta), PREC)
+    z = curve_point(ap_real(r, PREC), mpf(theta), PREC)
     monkeypatch.setattr(szego, "_W0_MAX_ITER", 1)
     with pytest.raises(NonConvergence) as err:
-        curve_point(r, mpf(theta), PREC)
+        curve_point(ap_real(r, PREC), mpf(theta), PREC)
     with workprec(PREC + 16):
         assert gap(-err.value.best, z, PREC) <= mpf("1e-40")
 
