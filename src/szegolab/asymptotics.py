@@ -90,7 +90,7 @@ def _schedule_param(value, name) -> mpf:
 
 
 def make_schedule(kind: str, c=None, r=None) -> AlphaSchedule:
-    """generic(c) with c in (0, 1/2]; exponential(r) with finite r >= 0;
+    """generic(c) with c in (0, 1/2]; exponential(r) with finite r > 0;
     superexponential (no parameters); no kind takes another's parameter.
     c and r are numbers (precision.as_real); text goes through ap_real."""
     if kind not in _SCHEDULE_KINDS:
@@ -108,8 +108,8 @@ def make_schedule(kind: str, c=None, r=None) -> AlphaSchedule:
         if r is None or c is not None:
             raise InvalidSchedule("exponential schedule takes parameter r and no c")
         r = _schedule_param(r, "r")
-        if r < 0:
-            raise InvalidSchedule(f"need r >= 0, got {mp.nstr(r, 8)}")
+        if r <= 0:
+            raise InvalidSchedule(f"need r > 0, got {mp.nstr(r, 8)}")
         return AlphaSchedule(kind="exponential", r=r)
     if c is not None or r is not None:
         raise InvalidSchedule("superexponential schedule takes no parameters")

@@ -76,7 +76,7 @@ _OPTIONS = {
     "r": _Option("level, r >= 0; measure takes inf for the point mass at 0, "
                  "verify defaults to 1"),
     "c": _Option("offset for the generic schedule, 0 < c <= 1/2"),
-    "rate": _Option("rate for the exponential schedule, >= 0"),
+    "rate": _Option("rate for the exponential schedule, > 0"),
     "nodes": _Option("node count M of Gamma_r, even and >= 16", 512),
     "at": _Option("evaluation point, e.g. 2, -0.3, or 0.1+0.2j; repeatable", "0",
                   repeat=True),

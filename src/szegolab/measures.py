@@ -10,7 +10,7 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import InvalidParameter, SingularEvaluation
 from .fixed import gaussian_ints, log as fixed_log, to_fixed
-from .precision import mantissa_bits, op_precision
+from .precision import as_complex, as_real, mantissa_bits, op_precision
 
 # Weight-sum slack: weights (1/M, or the graded (1 - cos s_j)/M) are rounded
 # at working precision and may pass through decimal serialization, so allow
@@ -27,13 +27,14 @@ class DiscreteMeasure:
     label: str = ""
 
     def __post_init__(self):
-        # Coerce only foreign types: mpc(p) under a low ambient precision
-        # would silently truncate high-precision support points.
+        # mpf and mpc values pass as they are; anything else is taken
+        # exactly, and text is refused (precision.as_real, as_complex).
         points = tuple(
-            p if isinstance(p, (mpf, mpc)) else mpc(p) for p in self.points
+            p if isinstance(p, (mpf, mpc)) else as_complex(p, "point")
+            for p in self.points
         )
         weights = tuple(
-            w if isinstance(w, mpf) else mpf(w) for w in self.weights
+            w if isinstance(w, mpf) else as_real(w, "weight") for w in self.weights
         )
         if len(points) != len(weights):
             raise InvalidParameter(

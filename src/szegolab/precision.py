@@ -9,10 +9,11 @@ argument and runs under ``mp.workprec``.  Two rules hold package-wide:
   an operation is the maximum of the requested precision and the mantissa
   width of every operand (``op_precision``).
 
-Every real parameter comes in through ``as_real``, which takes numbers
-exactly and refuses text.  A decimal or complex literal is read only by
-``ap_real``/``ap_complex``, at a stated precision, so that, e.g.,
-``alpha = -60 + 1e-5`` keeps all of its information at 512 bits.
+Every real parameter comes in through ``as_real``, and every complex one
+through ``as_complex``; both take numbers exactly and refuse text.  A
+decimal or complex literal is read only by ``ap_real``/``ap_complex``, at a
+stated precision, so that, e.g., ``alpha = -60 + 1e-5`` keeps all of its
+information at 512 bits.
 """
 
 from __future__ import annotations
@@ -53,6 +54,18 @@ def as_real(value, name) -> mpf:
         if mp.isfinite(x):
             return x
     raise InvalidParameter(f"need a finite real {name}, got {value!r}")
+
+
+def as_complex(value, name) -> mpf | mpc:
+    """value as a finite mpc or mpf, exactly: an mpc or an mpf as it is, an
+    int, a float or a complex without rounding.  InvalidParameter for
+    anything else (a bool, a string) and for a NaN or infinite part; text
+    goes through ap_complex."""
+    if isinstance(value, (int, float, complex, mpf, mpc)) and not isinstance(value, bool):
+        z = mp.mpmathify(value)  # lossless for these types; mpf and mpc are kept
+        if mp.isfinite(z):
+            return z
+    raise InvalidParameter(f"need a finite complex {name}, got {value!r}")
 
 
 @contextmanager

@@ -12,27 +12,26 @@ Starts form a restart ladder, tried in order until one converges:
   z_k = -W_0(-e^(-1-r_eff) e^(i theta_k)), theta_k = 2 pi (k + 1/2) / m
   (szego's closed form, evaluated at 64 bits and promoted by Aberth).
   Used only when the coefficient list carries its LaguerreSpec, no origin
-  roots were deflated, dist(alpha, S_n) <= 1 (r_eff >= 0, the paper's
-  regime) and the cluster signal below is off; otherwise skipped.
+  roots were deflated and dist(alpha, S_n) <= 1 (r_eff >= 0, the paper's
+  regime, which includes the superexponential cluster, where Gamma_(r_eff)
+  shrinks toward 0); otherwise skipped.
 * circle: radius 1/2 with an irrational phase offset.
-* geometric: the geometric-mean radius |c_0|^(1/m).  When that radius
-  signals that every root is far inside |z| = 1/2, it comes before the
-  circle.
 * newton-polygon: annuli from the Newton polygon of the coefficients.
+
+The order is the same for every input.
 
 Conjugate pairs.  Every rung yields (starts, npairs) as _sweeps takes
 them; full rungs have npairs = 0.  With real coefficients and a LaguerreSpec
 (no origin roots deflated), R = R+ + R-, Szego's count of positive zeros
 plus the negative one, is known before solving (_real_zero_counts).  When
 R+ <= 1 and R <= 2, which covers the paper's regime and every schedule,
-the first rung -- limit-law, or geometric for the cluster -- yields
-_pair_starts: P = (m - R)/2 upper starts at theta_k = pi (k + 1/2) / P on
-Gamma_(r_eff) (or the geometric circle), then R real starts at its real
-crossings x0 / x_neg (or +-|c_0|^(1/m)), and npairs = P.  Only those P + R
-roots are iterated, the real ones in real arithmetic; the lower half is
-their exact conjugate, with their residuals and radii, so conjugate zeros
-agree to the last bit and real zeros have Im z = 0 exactly.  A failed pair
-run hands over to the rest of the ladder unchanged.  Other counts keep the
+the limit-law rung yields P = (m - R)/2 upper starts at theta_k =
+pi (k + 1/2) / P on Gamma_(r_eff), then R real starts at its real
+crossings x0 / x_neg, and npairs = P.  Only those P + R roots are
+iterated, the real ones in real arithmetic; the lower half is their exact
+conjugate, with their residuals and radii, so conjugate zeros agree to the
+last bit and real zeros have Im z = 0 exactly.  A failed pair run hands
+over to the rest of the ladder unchanged.  Other counts keep the
 full starts: Gamma_(r_eff) crosses the real axis once on each side, so it
 has no seed for a second positive zero, and naive real seeds stall when
 many zeros are real.
@@ -84,10 +83,6 @@ SWEEP_CAP = 200
 # no starting point hits a symmetry axis of the root set.
 _GOLDEN = "0.6180339887498948482045868343656381177"
 
-# |c_0|^(1/m) below this means the whole root set sits far inside the
-# default circle |z| = 1/2; start from the geometric-mean radius instead.
-_CLUSTER_SIGNAL = mpf("1e-3")
-
 # Precision of the limit-law seeds.  Aberth promotes them to working
 # precision; seeds at working precision take the same sweeps and cost more.
 _SEED_BITS = 64
@@ -104,7 +99,7 @@ class ZeroSet:
     coefficients lies within radii[i] of zeros[i], inf where none is certified.
 
     start names the ladder rung whose Aberth run delivered the roots
-    ("limit-law", "circle", "geometric", "newton-polygon"), or
+    ("limit-law", "circle", "newton-polygon"), or
     "closed-form" when at most two roots remained after deflation; sweeps
     counts that run's Aberth sweeps (0 for closed forms).
     """
@@ -121,8 +116,8 @@ class ZeroSet:
         return len(self.zeros)
 
 
-def _start_circle(m, radius, offset_turns):
-    return [radius * mp.expj(2 * mp.pi * (i + offset_turns) / m) for i in range(m)]
+def _start_circle(m, offset_turns):
+    return [mp.expj(2 * mp.pi * (i + offset_turns) / m) / 2 for i in range(m)]
 
 
 def _real_zero_counts(spec):
@@ -152,23 +147,14 @@ def _angles(count, turns):
         return [turns * mp.pi * (k + mpf(1) / 2) / count for k in range(count)]
 
 
-def _pair_starts(point, m, counts, reals):
-    """(starts, P) of a conjugate-pair run: P = (m - R)/2 upper starts
-    point(theta_k), theta_k = pi (k + 1/2) / P, then R+ copies of reals[0]
-    and R- of reals[1], for counts = (R+, R-)."""
-    pos, neg = counts
-    npairs = (m - pos - neg) // 2
-    upper = [point(t) for t in _angles(npairs, 1)]
-    return upper + [reals[0]] * pos + [reals[1]] * neg, npairs
-
-
 def _limit_law_starts(spec, m, counts=None):
     """(starts, npairs) on Gamma_(r_eff), or None when alpha is degenerate
     or outside the paper's regime (r_eff < 0).
 
     Without counts, m seeds at theta_k = 2 pi (k + 1/2) / m and npairs = 0.
-    With counts = (R+, R-), both at most 1, the _pair_starts of the curve
-    and its real crossings x0, x_neg.
+    With counts = (R+, R-), both at most 1, a conjugate-pair run: P =
+    (m - R+ - R-)/2 upper seeds at theta_k = pi (k + 1/2) / P, then R+
+    copies of the real crossing x0 and R- of x_neg, and npairs = P.
     """
     try:
         r_eff = param_decomposition(spec.n, spec.alpha).r_eff
@@ -180,8 +166,10 @@ def _limit_law_starts(spec, m, counts=None):
         r_eff = +r_eff
     if counts is None:
         return [curve_point(r_eff, t, _SEED_BITS) for t in _angles(m, 2)], 0
-    crossings = real_crossings(r_eff, _SEED_BITS)
-    return _pair_starts(lambda t: curve_point(r_eff, t, _SEED_BITS), m, counts, crossings)
+    (pos, neg), (x0, x_neg) = counts, real_crossings(r_eff, _SEED_BITS)
+    npairs = (m - pos - neg) // 2
+    upper = [curve_point(r_eff, t, _SEED_BITS) for t in _angles(npairs, 1)]
+    return upper + [x0] * pos + [x_neg] * neg, npairs
 
 
 def _newton_polygon_starts(coeffs, offset_turns):
@@ -467,28 +455,18 @@ def _iterate_with_restarts(c, m, tol, spec, real):
     be skipped.  The first npairs rows stand for conjugate pairs: their exact
     conjugates follow them, with the same residuals and radii."""
     offset = mpf(_GOLDEN)
-    geo_radius = abs(c[0]) ** (mpf(1) / m)
     counts = _real_zero_counts(spec) if spec is not None and real else None
     if counts is not None and (counts[0] > 1 or sum(counts) > 2):
         counts = None  # one seed per side; naive real seeds stall
     rungs = {
         "limit-law": lambda: None if spec is None else _limit_law_starts(spec, m, counts),
-        "circle": lambda: (_start_circle(m, mpf(1) / 2, offset), 0),
-        "geometric": lambda: (_start_circle(m, geo_radius, offset), 0),
+        "circle": lambda: (_start_circle(m, offset), 0),
         "newton-polygon": lambda: (_newton_polygon_starts(c, offset), 0),
     }
-    if geo_radius < _CLUSTER_SIGNAL:
-        if counts is not None:
-            rungs["geometric"] = lambda: _pair_starts(
-                lambda t: geo_radius * mp.expj(t), m, counts, (geo_radius, -geo_radius)
-            )
-        order = ("geometric", "circle", "newton-polygon")
-    else:
-        order = ("limit-law", "circle", "geometric", "newton-polygon")
 
     best = None
-    for name in order:
-        run = rungs[name]()
+    for name, rung in rungs.items():
+        run = rung()
         if run is None:
             continue
         starts, npairs = run

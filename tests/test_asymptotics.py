@@ -41,8 +41,10 @@ def test_make_schedule_validation():
         make_schedule("generic", c=mpf(0))
     with pytest.raises(InvalidSchedule):
         make_schedule("exponential")
-    with pytest.raises(InvalidSchedule):
-        make_schedule("exponential", r=mpf("-0.5"))
+    # r = 0 is refused too: e^(-r n) < 1/2 would never hold at any n
+    for bad in (mpf("-0.5"), 0, mpf(0)):
+        with pytest.raises(InvalidSchedule):
+            make_schedule("exponential", r=bad)
     for bad in (mp.inf, mp.nan):
         with pytest.raises(InvalidSchedule):
             make_schedule("exponential", r=bad)

@@ -121,6 +121,23 @@ def test_discrete_measure_rejects_non_finite_points(bad):
         DiscreteMeasure(points=(mpc(0), bad), weights=(half, half))
 
 
+def test_discrete_measure_takes_numbers_exactly_and_refuses_text():
+    # values that are not mpf / mpc go through as_real and as_complex: a
+    # number is taken without rounding, text and bools are refused
+    half = mpf(1) / 2
+    mu = DiscreteMeasure(points=(2**60 + 1, 0.1 + 0.2j), weights=(0.5, half))
+    assert mu.points[0] == 2**60 + 1 and mu.points[1] == mpc(0.1, 0.2)
+    assert mu.weights == (half, half)
+    for points, weights in [
+        (("1", 2), (half, half)),
+        ((1, 2), ("0.5", "0.5")),
+        ((True, 2), (half, half)),
+        ((1, 2), (True, 0)),
+    ]:
+        with pytest.raises(InvalidParameter):
+            DiscreteMeasure(points=points, weights=weights)
+
+
 def test_discrete_measure_rejects_nan_weight():
     with pytest.raises(InvalidParameter, match="nonnegative"):
         DiscreteMeasure(points=(mpc(0), mpc(1)), weights=(mpf(1), mpf(mp.nan)))

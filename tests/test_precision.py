@@ -27,6 +27,7 @@ from szegolab.precision import (
     MIN_PRECISION_BITS,
     ap_complex,
     ap_real,
+    as_complex,
     as_real,
     check_precision,
     decimal_digits,
@@ -192,6 +193,21 @@ def test_as_real_reads_numbers_exactly():
     for bad in ("0.5", True, 1j, mpc(1, 0), [1], None):
         with pytest.raises(InvalidParameter):
             as_real(bad, "x")
+
+
+def test_as_complex_reads_numbers_exactly():
+    z, x = ap_complex("0.1+0.2j", 256), ap_real("0.1", 256)
+    assert as_complex(z, "z") is z and as_complex(x, "z") is x
+    assert as_complex(2**60 + 1, "z") == 2**60 + 1
+    assert as_complex(0.1, "z") == mpf(0.1)
+    w = as_complex(0.1 + 0.2j, "z")
+    assert (w.real, w.imag) == (mpf(0.1), mpf(0.2))
+    for bad in ("1", "0.1+0.2j", True, [1], None, complex(1, float("inf"))):
+        with pytest.raises(InvalidParameter):
+            as_complex(bad, "z")
+    for bad in (mpc(mp.nan, 0), mpc(0, mp.inf), mp.ninf):
+        with pytest.raises(InvalidParameter):
+            as_complex(bad, "z")
 
 
 def test_literals_are_read_only_by_ap_real_and_ap_complex():

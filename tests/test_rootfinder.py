@@ -146,8 +146,9 @@ def test_zeros_sorted_by_argument():
 
 
 def test_superexponential_cluster_collapses():
-    # alpha = -n + e^(-n^2) drives every zero toward the origin; the
-    # geometric restart ladder must still converge to residual tolerance.
+    # alpha = -n + e^(-n^2) drives every zero toward the origin, and
+    # Gamma_(r_eff) with it; the limit-law seeds must still converge to
+    # residual tolerance.
     n = 12
     prec = None  # distance-aware default
     with workprec(640):
@@ -174,7 +175,7 @@ def test_counting_measure():
         counting_measure(ZeroSet(zeros=(), residuals=(), origin_multiplicity=0))
 
 
-LADDER = ("limit-law", "circle", "geometric", "newton-polygon")
+LADDER = ("limit-law", "circle", "newton-polygon")
 
 
 def _fail_first(monkeypatch, k):
@@ -204,10 +205,10 @@ def _superexponential_alpha(n):
         (9, "-9.5", 0, ["pairs"], 192),  # R = 1: the law rung runs on pairs
         (9, "-9.5", 1, ["pairs", "full"], 192),  # a failed pair run hands over
         (9, "-9.5", 2, ["pairs", "full", "full"], 192),
-        (9, "-9.5", 3, ["pairs", "full", "full", "full"], 192),
         (12, "-7.5", 1, ["full", "full"], 192),  # R = 6 > 2: no pair run
-        (12, None, 0, ["pairs"], None),  # superexponential: paired geometric
+        (12, None, 0, ["pairs"], None),  # superexponential: the law pair rung
         (12, None, 1, ["pairs", "full"], None),
+        (12, None, 2, ["pairs", "full", "full"], None),
         # Re p rounds to 0 at the real zero here, so its residual equals
         # |Im z| up to rounding; a snap rule |Im z| <= residual left it
         # complex.
@@ -215,7 +216,14 @@ def _superexponential_alpha(n):
         (9, "-9.5", 2, ["pairs", "full", "full"], 168),
     ],
     ids=list(LADDER)
-    + ["above-two-real", "cluster", "cluster-circle", "circle-160", "geometric-168"],
+    + [
+        "above-two-real",
+        "cluster",
+        "cluster-circle",
+        "cluster-newton-polygon",
+        "circle-160",
+        "newton-polygon-168",
+    ],
 )
 def test_every_rung_delivers_the_same_rows(n, alpha, k, runs, bits, monkeypatch):
     # n = 9 has one real zero; without Im = 0 snapping, the law and circle
@@ -224,15 +232,14 @@ def test_every_rung_delivers_the_same_rows(n, alpha, k, runs, bits, monkeypatch)
     if alpha is None:
         alpha = _superexponential_alpha(n)
         prec = recommended_precision(n, alpha)
-        ladder = ("geometric", "circle")
     else:
-        alpha, prec, ladder = mpf(alpha), bits, LADDER
+        alpha, prec = mpf(alpha), bits
     tol = mpf(2) ** -(prec // 2)
     reference = contracted_zeros(n, alpha, prec)
     calls = _fail_first(monkeypatch, k)
     zs = contracted_zeros(n, alpha, prec)
     assert calls == runs
-    assert zs.start == ladder[k]
+    assert zs.start == LADDER[k]
     assert 0 < zs.sweeps <= rootfinding.SWEEP_CAP
     assert max(zs.residuals) <= tol
     bound = 2 * max(max(zs.residuals), max(reference.residuals))
@@ -246,7 +253,6 @@ def test_every_rung_delivers_the_same_rows(n, alpha, k, runs, bits, monkeypatch)
     "n, alpha, start, runs",
     [
         (4, mpf("0.5"), "circle", ["full"]),  # dist(alpha, S_n) = 1.5 > 1
-        (12, None, "geometric", ["pairs"]),  # superexponential: cluster signal on
         (6, -4, "closed-form", []),  # 4 origin roots deflated, 2 left
         (9, -4, "circle", ["full"]),  # 4 origin roots deflated, 5 left
         (12, mpf("-7.5"), "limit-law", ["full"]),  # R+ = 5: pair rung skipped
@@ -254,7 +260,6 @@ def test_every_rung_delivers_the_same_rows(n, alpha, k, runs, bits, monkeypatch)
     ],
     ids=[
         "dist-above-one",
-        "cluster",
         "deflated-quadratic",
         "deflated",
         "above-two-real",
@@ -262,8 +267,6 @@ def test_every_rung_delivers_the_same_rows(n, alpha, k, runs, bits, monkeypatch)
     ],
 )
 def test_limit_law_rung_skipped(n, alpha, start, runs, monkeypatch):
-    if alpha is None:
-        alpha = _superexponential_alpha(n)
     calls = _fail_first(monkeypatch, 0)
     zs = contracted_zeros(n, alpha)
     assert zs.start == start
@@ -296,10 +299,8 @@ def test_szego_real_zero_count(n, alpha):
 
 def test_unused_rungs_build_no_starts(monkeypatch):
     # The ladder builds a rung's starts only when that rung runs, so a fig 2
-    # solve that converges on the limit-law rung never builds the Newton
-    # polygon, the circle or the geometric circle, and a superexponential
-    # solve that converges on the paired geometric rung builds neither the
-    # circle nor the Newton polygon.
+    # solve and a superexponential solve, which both converge on the
+    # limit-law rung, build neither the circle nor the Newton polygon.
     def unused(*args):
         raise AssertionError("starts built for a rung that did not run")
 
@@ -309,14 +310,54 @@ def test_unused_rungs_build_no_starts(monkeypatch):
     assert zs.start == "limit-law" and len(zs) == 60
     calls = _fail_first(monkeypatch, 0)
     zs = contracted_zeros(12, _superexponential_alpha(12))
-    assert zs.start == "geometric" and calls == ["pairs"] and len(zs) == 12
+    assert zs.start == "limit-law" and calls == ["pairs"] and len(zs) == 12
 
 
-def test_limit_law_seeds_figure_two():
-    zs = contracted_zeros(60, ap_real("-60.1", 512), 512)
-    assert zs.start == "limit-law"
-    assert zs.sweeps <= 8
-    assert max(zs.residuals) <= mpf(2) ** -256
+def test_exhausted_ladder_raises_with_the_best_attempt(monkeypatch):
+    # Every rung fails: find_roots raises, carrying the best attempt's m
+    # zeros and its worst residual, which is above tol.
+    tol = mpf(2) ** -96
+    calls = _fail_first(monkeypatch, len(LADDER))
+    with pytest.raises(NonConvergence) as info:
+        contracted_zeros(9, mpf("-9.5"), 192)
+    err = info.value
+    assert calls == ["pairs", "full", "full"]
+    assert len(err.best) == 9
+    assert err.max_residual > tol
+
+
+def _one_law_pair_run(n, alpha, bits, sweeps, monkeypatch):
+    calls = _fail_first(monkeypatch, 0)
+    zs = contracted_zeros(n, alpha, bits)
+    assert zs.start == "limit-law" and calls == ["pairs"]
+    assert 0 < zs.sweeps <= sweeps
+    assert max(zs.residuals) <= mpf(2) ** -(bits // 2)
+
+
+def test_limit_law_seeds_figure_two(monkeypatch):
+    _one_law_pair_run(60, ap_real("-60.1", 512), 512, 6, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "kind, param, n, sweeps",
+    [
+        ("fig3", None, 60, 7),
+        ("generic", {"c": "0.399"}, 40, 5),
+        ("exponential", {"r": "0.870"}, 40, 6),
+        ("superexponential", {}, 22, 7),
+    ],
+    ids=["fig3", "generic-40", "exponential-40", "superexp-22"],
+)
+def test_limit_law_seeds_the_schedule_slots(kind, param, n, sweeps, monkeypatch):
+    # Each slot, the cluster included, is solved by one pair run of the law
+    # rung, within the sweeps it takes today.
+    if kind == "fig3":
+        bits = 512
+        alpha = ap_real("-59.99999", bits)
+    else:
+        sched = make_schedule(kind, **{k: ap_real(v, 192) for k, v in param.items()})
+        bits, alpha = sched.precision_bits(n), sched.alpha_at(n)
+    _one_law_pair_run(n, alpha, bits, sweeps, monkeypatch)
 
 
 def _monic_from_roots(roots, bits):
