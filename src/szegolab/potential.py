@@ -55,6 +55,7 @@ from .szego import (
     _check_r,
     _half_node,
     _mirrored_curve,
+    _modulus,
     _shadow_half,
     _theta,
     check_node_count,
@@ -493,7 +494,7 @@ def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResu
     r = _check_r(r)
     prec = op_precision(precision_bits, r)
     with workprec(prec + 16):
-        crossings = real_crossings(r, precision_bits)
+        crossings, mag = real_crossings(r, precision_bits), _modulus(r)
         scale, zs, rads = _shadow_half(r, grid_M, crossings, precision_bits)
         zs += [z.conjugate() for z in reversed(zs[1:-1])]
         rads += rads[-2:0:-1]
@@ -514,7 +515,7 @@ def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResu
             # node M - j repeats node j's omega2 to the last bit.
             j = min(i, grid_M - i)
             if grid[j] is None:
-                g = _half_node(r, j, grid_M, _theta(j, grid_M), crossings)
+                g = _half_node(r, j, grid_M, _theta(j, grid_M), crossings, mag)
                 grid[j] = g
                 omega2[j] = S[j] = mp.exp(-2 * DEFAULT_FIELD.phi(g, precision_bits))
             if grid[i] is None:

@@ -54,6 +54,23 @@ the same ints, rounds the root once to the working precision, and reads
 its residual |p/p'| and a certified radius from one more Horner pass with
 running error bounds.  The real snap re-polishes the snapped point the
 same way; only the max(residual) <= tol gate compares mpf numbers.
+
+Precision.  Only that last step needs the full width F.  Cut to W bits,
+the coefficients move a root by about 2^(kappa - W) relative, kappa =
+log2(A(|z|) / (|z| |p'(z)|)), A(t) = sum |c_k| t^k (Gautschi, Numer. Math.
+21, 1973), and kappa is far below F: about 0.77 bits per degree at the
+schedules' law seeds (40 bits at generic n = 60, 183 at n = 240, against
+F = 303 and 933) and -3 on the superexponential cluster (F = 8089 at
+n = 60).  So each rung sweeps at W = kappa-hat + _KAPPA_MARGIN bits, with
+kappa-hat the largest kappa of its starts (_condition), until the largest
+step is 2^-(_KAPPA_MARGIN / 2) of the roots' scale.  Newton steps on grids
+whose good bits double, each checked against the bits it assumes
+(_climb), and _polish then take the roots to F, and the max(residual) <=
+tol gate is kept.  If the narrow run or the climb fails, or a residual
+exceeds tol, full-width sweeps start from the roots reached.  (MPSolve
+likewise raises precision only where its inclusion radii need it: Bini &
+Robol, J. Comput. Appl. Math. 272, 2014.)  ZeroSet.sweep_bits records the
+grid of the run that delivered the roots.
 """
 
 from __future__ import annotations
@@ -90,6 +107,9 @@ _SEED_BITS = 64
 # Guard bits of the fixed-point Aberth sweeps above the working precision.
 _FIXED_GUARD = 8
 
+# Bits above the starts' condition kappa-hat at which a rung first sweeps.
+_KAPPA_MARGIN = 128
+
 
 @dataclass(frozen=True)
 class ZeroSet:
@@ -101,7 +121,8 @@ class ZeroSet:
     start names the ladder rung whose Aberth run delivered the roots
     ("limit-law", "circle", "newton-polygon"), or
     "closed-form" when at most two roots remained after deflation; sweeps
-    counts that run's Aberth sweeps (0 for closed forms).
+    counts that run's Aberth sweeps and sweep_bits is its int grid, W or
+    the full width (both 0 for closed forms).  Neither enters an artifact.
     """
 
     zeros: tuple
@@ -110,6 +131,7 @@ class ZeroSet:
     spec: LaguerreSpec | None = None
     start: str = "closed-form"
     sweeps: int = 0
+    sweep_bits: int = 0
     radii: tuple = ()
 
     def __len__(self) -> int:
@@ -233,21 +255,47 @@ def _horner_fixed(b, x, y, F):
     return pr, pi_, dr, di
 
 
-def _sweeps(coeffs, starts, npairs, tol):
+def _condition(b, points, F):
+    """kappa-hat: an int bound above max_k log2(A(|y_k|) / (|y_k| |p'(y_k)|))
+    over points (x, y) on 2^-F, A(t) = sum |b_j| t^j, for the monic b of
+    _fixed_coeffs (Gautschi, Numer. Math. 21, 1973); None where y_k = 0 or
+    p'(y_k) = 0.  |b_j| is read as |Re b_j| + |Im b_j| and each log2 from a
+    bit length, so the bound errs high by at most 3 bits.  On the scaled
+    ints, not on doubles: |c_0| is about e^(-3661) at superexponential
+    n = 60, and the doubles of the scaled coefficients underflow there.
+    """
+    worst = None
+    for x, y in points:
+        t = isqrt(x * x + y * y)
+        _, _, dr, di = _horner_fixed(b, x, y, F)
+        d = isqrt(dr * dr + di * di)
+        if not (t and d):
+            return None
+        a = 1 << F
+        for br, bi in b:
+            a = ((a * t) >> F) + abs(br) + abs(bi)
+        k = a.bit_length() + F + 2 - t.bit_length() - d.bit_length()
+        worst = k if worst is None else max(worst, k)
+    return worst
+
+
+def _sweeps(coeffs, starts, npairs, tol, F=None, floor=None):
     """Aberth-Ehrlich sweeps in scaled fixed point; returns (roots,
     converged, sweeps).
 
     The first npairs starts are upper-half-plane roots that also stand for
     their conjugates; the rest are free roots.  Each root is held as the
     ints of y = z / 2^s on 2^-F (_fixed_coeffs), F = mp.prec +
-    _FIXED_GUARD, and each term of sum 1/(z - w) takes one reciprocal
-    division; a squared distance below 2^-F counts as 2^-F.  A root where
-    p = 0 exactly is not moved; where p' = 0 exactly, p' counts as 1.  The
-    stop rule max(|p/p'|, |step|) < tol compares squared int norms with
-    (tol 2^(F - s))^2.  With real coefficients, real starts stay exactly
-    real.
+    _FIXED_GUARD unless given, and each term of sum 1/(z - w) takes one
+    reciprocal division; a squared distance below 2^-F counts as 2^-F.  A
+    root where p = 0 exactly is not moved; where p' = 0 exactly, p' counts
+    as 1.  The stop rule max(|p/p'|, |step|) < tol compares squared int
+    norms with (tol 2^(F - s))^2.  A narrow run, F given, may be too coarse
+    for tol; with floor given, it has also converged once its largest step
+    is at most 2^floor units.  With real coefficients, real starts stay
+    exactly real.
     """
-    F = mp.prec + _FIXED_GUARD
+    F = F or mp.prec + _FIXED_GUARD
     s, b = _fixed_coeffs(coeffs, F)
     zs = [mpc(z) for z in starts]
     xr = [to_fixed(z.real, F - s) for z in zs]
@@ -255,9 +303,11 @@ def _sweeps(coeffs, starts, npairs, tol):
     sq = [y * y for y in xi]
     one2, two2 = 1 << 2 * F, 1 << 2 * F + 1
     tt = to_fixed(tol, F - s) ** 2
+    flat = None if floor is None else 1 << 2 * max(0, floor)
     n = len(zs)
     for sweep in range(1, SWEEP_CAP + 1):
         small = True
+        big = 0
         for i in range(n):
             x, y = xr[i], xi[i]
             pr, pi_, dr, di = _horner_fixed(b, x, y, F)
@@ -292,15 +342,50 @@ def _sweeps(coeffs, starts, npairs, tol):
             if not (qr or qi):
                 qr, qi = dr, di
             hr, hi = cdiv(pr, pi_, qr, qi, F)
+            h2 = hr * hr + hi * hi
+            big = max(big, h2)
             if small:
                 p2 = (pr * pr + pi_ * pi_) << 2 * F
-                small = hr * hr + hi * hi < tt and p2 < tt * (dr * dr + di * di)
+                small = h2 < tt and p2 < tt * (dr * dr + di * di)
             xr[i], xi[i] = x - hr, y - hi
             sq[i] = xi[i] * xi[i]
+        if flat is not None and big <= flat:
+            small = True
         if small:
             break
     roots = [to_mpc(x, y, F - s) for x, y in zip(xr, xi)]
     return roots, small, sweep
+
+
+def _climb(coeffs, roots, kappa, W):
+    """Newton steps from roots good to a = W - kappa bits, one on each grid
+    2^-G, G = kappa + 2^j a for j = 1, 2, ... while G is below _polish's
+    grid, each on the coefficients cut to G; None if a step is longer than
+    2^(-a/2) |y|, a the good bits it assumes.
+
+    A step about doubles the good bits, and a grid 2^-G holds about
+    G - kappa of them, so the last step leaves at least half of what
+    _polish's grid holds, and _polish's first full-width step the rest.
+    The test on each step makes sure that a root had at least half the bits
+    assumed; roots with no good bits (a <= 0) are not stepped.
+    """
+    F = mp.prec + _FIXED_GUARD
+    a = W - kappa
+    while 0 < a and kappa + 2 * a < F:
+        G = kappa + 2 * a
+        s, b = _fixed_coeffs(coeffs, G)
+        out = []
+        for z in roots:
+            x, y = to_fixed(z.real, G - s), to_fixed(z.imag, G - s)
+            pr, pi_, dr, di = _horner_fixed(b, x, y, G)
+            if (pr or pi_) and (dr or di):
+                hr, hi = cdiv(pr, pi_, dr, di, G)
+                if (hr * hr + hi * hi) << a > x * x + y * y:
+                    return None
+                x, y = x - hr, y - hi
+            out.append(to_mpc(x, y, G - s))
+        roots, a = out, 2 * a
+    return roots
 
 
 def _polish(coeffs, roots):
@@ -407,7 +492,7 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
             c.pop(0)
             mult += 1
         m = len(c) - 1
-        start, sweeps = "closed-form", 0
+        start, sweeps, bits = "closed-form", 0, 0
 
         if m == 1:
             polished = _polish(c, [-mpc(c[0])])
@@ -419,7 +504,7 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
             polished = _polish(c, [q, c0 / q])
         elif m >= 3:
             spec = coeffs.spec if mult == 0 else None
-            polished, start, sweeps = _iterate_with_restarts(c, m, tol, spec, real)
+            polished, start, sweeps, bits = _iterate_with_restarts(c, m, tol, spec, real)
         else:
             polished = []
         if real:
@@ -443,17 +528,18 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
         spec=coeffs.spec,
         start=start,
         sweeps=sweeps,
+        sweep_bits=bits,
         radii=tuple(rad for _, _, rad in rows),
     )
 
 
 def _iterate_with_restarts(c, m, tol, spec, real):
     """Aberth from each rung of the ladder in turn; returns (polished rows,
-    rung name, sweeps) of the first to converge within tol, else of the
-    attempt with the smallest worst residual.  Each rung yields (starts,
-    npairs) as _sweeps takes them, built only when the rung runs, or None to
-    be skipped.  The first npairs rows stand for conjugate pairs: their exact
-    conjugates follow them, with the same residuals and radii."""
+    rung name, sweeps, sweep bits) of the first to converge within tol, else
+    of the attempt with the smallest worst residual.  Each rung yields
+    (starts, npairs) as _sweeps takes them, built only when the rung runs, or
+    None to be skipped.  The first npairs rows stand for conjugate pairs:
+    their exact conjugates follow them, with the same residuals and radii."""
     offset = mpf(_GOLDEN)
     counts = _real_zero_counts(spec) if spec is not None and real else None
     if counts is not None and (counts[0] > 1 or sum(counts) > 2):
@@ -470,17 +556,50 @@ def _iterate_with_restarts(c, m, tol, spec, real):
         if run is None:
             continue
         starts, npairs = run
-        roots, converged, sweeps = _sweeps(c, starts, npairs, tol)
-        polished = _polish(c, roots)
+        polished, converged, sweeps, bits = _run_rung(c, starts, npairs, tol)
         # conjugate() is exact at the roots' precision
         lower = [(z.conjugate(), res, rad) for z, res, rad in polished[:npairs]]
         polished[npairs:npairs] = lower
+        if converged:
+            return polished, name, sweeps, bits
         worst = max(res for _, res, _ in polished)
-        if converged and worst <= tol:
-            return polished, name, sweeps
         if best is None or worst < best[0]:
-            best = (worst, polished, name, sweeps)
+            best = (worst, polished, name, sweeps, bits)
     return best[1:]
+
+
+def _run_rung(c, starts, npairs, tol):
+    """One rung's Aberth run and _polish; returns (polished rows, converged,
+    sweeps, sweep bits), converged meaning that the run met its stop rule
+    and every residual is within tol.
+
+    The sweeps run at W = kappa-hat + _KAPPA_MARGIN bits (_condition, on
+    the starts), if that is below the full grid F: on the coefficients cut
+    to W, down to the grid's floor.  _climb and _polish then take the roots
+    to F.  If that run or the climb fails, or a residual exceeds tol,
+    full-width sweeps start again from the roots reached, climbed where the
+    climb held.
+    """
+    F = mp.prec + _FIXED_GUARD
+    s, b = _fixed_coeffs(c, F)
+    zs = [mpc(z) for z in starts]
+    points = [(to_fixed(z.real, F - s), to_fixed(z.imag, F - s)) for z in zs]
+    kappa = _condition(b, points, F)
+    if kappa is not None and kappa + _KAPPA_MARGIN < F:
+        W = kappa + _KAPPA_MARGIN
+        floor = kappa + _KAPPA_MARGIN // 2
+        roots, converged, sweeps = _sweeps(c, zs, npairs, tol, W, floor)
+        climbed = _climb(c, roots, kappa, W) if converged else None
+        if climbed is not None:
+            polished = _polish(c, climbed)
+            if max(res for _, res, _ in polished) <= tol:
+                return polished, True, sweeps, W
+            roots = climbed
+        zs = roots
+    roots, converged, sweeps = _sweeps(c, zs, npairs, tol)
+    polished = _polish(c, roots)
+    converged = converged and max(res for _, res, _ in polished) <= tol
+    return polished, converged, sweeps, F
 
 
 def contracted_zeros(

@@ -16,7 +16,10 @@ _w0 evaluates W_0 for every node, the crossings included, by the Halley
 iteration and stop rule of mpmath's lambertw from a close seed (the double
 W_0(x), or the branch series where x is near -1/e), run on Python ints
 on a power-of-two grid (szegolab.fixed) instead of mpc numbers, whose
-per-operation overhead costs more than their bits at these lengths.
+per-operation overhead costs more than their bits at these lengths.  Only
+its last steps run at full width, with one full-width exp per node; each
+node's argument is mp.exp's to the last bit, with e^(-1-r) computed once
+per curve.
 _max_residual checks the rounded nodes on the same ints.  _shadow_half
 gives every equispaced node as a double, with a radius certified by
 Kantorovich's theorem to reach the full-precision node.
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from mpmath import fp, mp, mpc, mpf
+from mpmath.libmp import mpf_cos_sin, mpf_exp, mpf_mul, mpf_neg, mpf_pos, round_nearest
 
 from .errors import InvalidParameter, NonConvergence
 from .fixed import cdiv, cexp, cmul, to_fixed, to_mpc
@@ -139,7 +143,7 @@ def _w0(x):
     (prec + 15), mag read from the larger part, are mpmath's lambertw's; the
     seed is better.  Away from the
     branch point -1/e it is the double fp.lambertw(x), good to about 1e-16,
-    so three steps finish at 208 bits where lambertw's seed takes about six.
+    where lambertw's own seed takes about six full-width steps at 208 bits.
     Where e x + 1 cancels c > _BRANCH_BITS bits, the seed is the branch
     series -1 + p - p^2/3 + 11 p^3/72, p = sqrt(2 (e x + 1)) (Corless et al.
     1996), and as in lambertw the precision rises by c/2 bits, or the
@@ -148,13 +152,24 @@ def _w0(x):
     NonConvergence after _W0_MAX_ITER steps, where lambertw only warns.
 
     With k = mag(x) the steps solve v e^(2^k v) = x / 2^k for v = w / 2^k,
-    of order 1 however tiny x is (|v| >= 1/(4 e)): v, x / 2^k, e^w (libmp's
-    exp_fixed times cos_sin_fixed) and each product and quotient are ints on
-    2^-F, F = prec + 28 + c/2, lambertw's working precision and 8 guard
-    bits.  Each errs by at most a few tens of units of 2^-F, far below the
-    stop rule's 2^-(prec + 15) |v|, so the last iterate is as close to the
-    root as lambertw's; it is rounded once to prec bits.  A real x stays
-    exactly real.
+    of order 1 however tiny x is (|v| >= 1/(4 e)): v, x / 2^k, e^w and each
+    product and quotient are ints on 2^-F, F = prec + 28 + c/2, lambertw's
+    working precision and 8 guard bits.  A grid 2^-G holds about
+    G - 32 - c/2 good bits of v and Halley's step triples them, so the double
+    seed (about 50 - c good bits) first takes one step on each of the coarser
+    grids G <- (G - 32 - c/2) // 3 + 32 + c/2 that hold more than it has:
+    90 and 206 bits under F = 556, 100 under F = 236.  The branch series
+    does not: its error is relative to |1 + w|, about 2^(-c/2), and a coarse
+    grid's noise could push the iterate across the branch point onto W_-1.
+    The loop on 2^-F then evaluates e^w once (fixed.cexp, within 32 (1 +
+    e^Re w) units in each part) and after each step updates it by the
+    Taylor series of e^(-u), u = w - w_new (_exp_step).  With |u| < 2^-g
+    in each part the series sums J <= F / (g - 1) + 2 terms, 2 to 4 once
+    |u| <= 2^-150, and each update adds at most (3 J + 5) |e^w| + 2 units.
+    Each other product and quotient errs by at most a few tens of units,
+    far below the stop rule's 2^-(prec + 15) |v|, so the last iterate is as
+    close to the root as lambertw's; it is rounded once to prec bits.  A
+    real x stays exactly real.
     """
     prec = mp.prec
     d = mp.e * x + 1
@@ -163,47 +178,113 @@ def _w0(x):
     cancel = max(0, -mp.mag(d))
     F = prec + 28 + cancel // 2
     k = mp.mag(x)
+    grids = [F]
     if cancel > _BRANCH_BITS:
         with workprec(F):
             p = mp.sqrt(2 * d)
             w = -1 + p * (1 + p * (mpf(-1) / 3 + p * mpf(11) / 72))
     else:
         w = fp.lambertw(complex(x))
-    vr, vi = to_fixed(w.real, F - k), to_fixed(w.imag, F - k)
+        lost = 32 + cancel // 2
+        while (grids[-1] - lost) // 3 > 50 - cancel:
+            grids.append((grids[-1] - lost) // 3 + lost)
+    G = grids[-1]
+    vr, vi = to_fixed(w.real, G - k), to_fixed(w.imag, G - k)
+    for H in reversed(grids[1:]):
+        vr, vi = vr << (H - G), vi << (H - G)
+        G = H
+        xr, xi = to_fixed(x.real, G - k), to_fixed(x.imag, G - k)
+        er, ei = cexp(vr >> -k, vi >> -k, G)
+        hr, hi = _halley(vr, vi, er, ei, xr, xi, k, G)
+        vr, vi = vr - hr, vi - hi
+    vr, vi = vr << (F - G), vi << (F - G)
     xr, xi = to_fixed(x.real, F - k), to_fixed(x.imag, F - k)
-    one = 1 << F
+    wr, wi = vr >> -k, vi >> -k
+    er, ei = cexp(wr, wi, F)
     for _ in range(_W0_MAX_ITER):
-        # w = 2^k v; with A = 1 + w, Halley's step on w e^w - x, divided by
-        # 2^k, is v - g / (e^w A - 2^k (1 + A) g / (2 A)), g = v e^w - x / 2^k.
-        wr, wi = vr >> -k, vi >> -k
-        er, ei = cexp(wr, wi, F)
-        gr, gi = cmul(vr, vi, er, ei, F)
-        gr, gi = gr - xr, gi - xi
-        ar, ai = one + wr, wi
-        tr, ti = cmul(one + ar, ai, gr, gi, F)
-        tr, ti = cdiv(tr >> (1 - k), ti >> (1 - k), ar, ai, F)
-        dr, di = cmul(er, ei, ar, ai, F)
-        hr, hi = cdiv(gr, gi, dr - tr, di - ti, F)
+        hr, hi = _halley(vr, vi, er, ei, xr, xi, k, F)
         vr, vi = vr - hr, vi - hi
         step, size = max(abs(hr), abs(hi)), max(abs(vr), abs(vi))
         if step.bit_length() <= size.bit_length() - (prec + 15):
             return to_mpc(vr, vi, F - k)
+        nr, ni = vr >> -k, vi >> -k
+        er, ei = _exp_step(er, ei, wr, wi, nr, ni, F)
+        wr, wi = nr, ni
     raise NonConvergence(
         f"W_0 Halley iteration hit {_W0_MAX_ITER} steps at x = {x}",
         best=to_mpc(vr, vi, F - k),
     )
 
 
-def _curve_point(r, theta):
-    # -W_0(-e^(-1-r+i theta)) at the caller's working precision.  At
-    # r = theta = 0 the argument is the branch point -1/e before rounding,
-    # and the node the corner 1.  The argument is mp.exp's, not an int one:
-    # near -1/e, W_0 scales a last-bit change of it by up to 2^(c/2), and
-    # an int e^(i theta) rounds differently from mpc_exp on about 3 % of
-    # nodes.
+def _halley(vr, vi, er, ei, xr, xi, k, F):
+    """Halley's step h on v e^(2^k v) = x / 2^k at v, from e = e^(2^k v);
+    all ints on 2^-F.
+
+    With w = 2^k v and A = 1 + w, Halley's step on w e^w - x, divided by
+    2^k, is g / (e^w A - 2^k (1 + A) g / (2 A)), g = v e^w - x / 2^k.
+    """
+    one = 1 << F
+    gr, gi = cmul(vr, vi, er, ei, F)
+    gr, gi = gr - xr, gi - xi
+    ar, ai = one + (vr >> -k), vi >> -k
+    tr, ti = cmul(one + ar, ai, gr, gi, F)
+    tr, ti = cdiv(tr >> (1 - k), ti >> (1 - k), ar, ai, F)
+    dr, di = cmul(er, ei, ar, ai, F)
+    return cdiv(gr, gi, dr - tr, di - ti, F)
+
+
+def _exp_step(er, ei, wr, wi, nr, ni, F):
+    """e^n on 2^-F from e = e^w, for n near w: e times the Taylor series of
+    e^(-u), u = w - n, summed until a term is at most one unit in each part.
+
+    Each term is the last times -u, then divided by j, each cut once, so
+    each errs by less than 2 sqrt 2 / (1 - |u|) units; the one left out and
+    all after it by less than 5.  With J terms summed the series errs by at
+    most 3 J + 5 units, and the product with e adds |e| times that, plus 2.
+    """
+    ur, ui = nr - wr, ni - wi  # -u
+    sr, si, tr, ti, j = 1 << F, 0, 1 << F, 0, 1
+    while True:
+        tr, ti = cmul(tr, ti, ur, ui, F)
+        tr, ti = tr // j, ti // j
+        if max(abs(tr), abs(ti)) <= 1:
+            return cmul(er, ei, sr, si, F)
+        sr, si, j = sr + tr, si + ti, j + 1
+
+
+def _modulus(r):
+    """e^(-1-r) as mp.exp(-1 - r + i theta) takes it for every theta != 0:
+    libmp's mpc_exp exponentiates -1 - r, rounded to the ambient precision,
+    at 4 bits more.  A raw mpf, computed once per curve."""
+    return mpf_exp((-1 - r)._mpf_, mp.prec + 4, round_nearest)
+
+
+def _argument(r, theta, mag):
+    """-mp.exp(-1 - r + i theta) to the last bit, from mag = _modulus(r).
+
+    mpc_exp multiplies mag by mpf_cos_sin of theta, rounded to the ambient
+    precision prec, at prec + 4 bits, and rounds each product to prec; at
+    theta = 0 it is mp.exp(-1 - r).
+    """
+    if not theta:
+        return -mp.exp(-1 - r + 1j * theta)
+    prec = mp.prec
+    t = mpf_pos(theta._mpf_, prec, round_nearest)  # as 1j * theta rounds it
+    c, s = mpf_cos_sin(t, prec + 4, round_nearest)
+    re, im = mpf_mul(mag, c, prec, round_nearest), mpf_mul(mag, s, prec, round_nearest)
+    return mp.make_mpc((mpf_neg(re), mpf_neg(im)))
+
+
+def _curve_point(r, theta, mag):
+    # -W_0(-e^(-1-r+i theta)) at the caller's working precision, mag =
+    # _modulus(r) at the same.  At r = theta = 0 the argument is the branch
+    # point -1/e before rounding, and the node the corner 1.  The argument is
+    # mp.exp's, not an int one: near -1/e, W_0 scales a last-bit change of it
+    # by up to 2^(c/2), and an int e^(i theta) rounds differently from
+    # mpc_exp on about 3 % of nodes.
     if not r and not theta:
         return mpc(1)
-    return -_w0(-mp.exp(-1 - r + 1j * theta))
+    return -_w0(_argument(r, theta, mag))
 
 
 # The double shadow of the equispaced nodes.  Node j of trace_level_curve is
@@ -326,7 +407,7 @@ def curve_point(r, theta, precision_bits: int = DEFAULT_TRACE_PRECISION) -> mpc:
     r = _check_r(r)
     theta = as_real(theta, "theta")
     with workprec(op_precision(precision_bits, r) + 16):
-        return _curve_point(r, theta)
+        return _curve_point(r, theta, _modulus(r))
 
 
 def _theta(j, M):
@@ -334,17 +415,18 @@ def _theta(j, M):
     return 2 * mp.pi * j / M
 
 
-def _half_node(r, j, M, theta, crossings):
+def _half_node(r, j, M, theta, crossings, mag):
     """Node j <= M/2 of a mirrored M-node curve, at the ambient precision.
 
     Nodes 0 and M/2 are crossings = real_crossings(r, ...); node j between
-    them is the closed form at image angle theta.  At the precision
-    op_precision(precision_bits, r) + 16 and theta = _theta(j, M) it is node
-    j of trace_level_curve(r, M, precision_bits) to the last bit.
+    them is the closed form at image angle theta, with mag = _modulus(r).
+    At the precision op_precision(precision_bits, r) + 16 and theta =
+    _theta(j, M) it is node j of trace_level_curve(r, M, precision_bits) to
+    the last bit.
     """
     if j in (0, M // 2):
         return mpc(crossings[2 * j // M])
-    return _curve_point(r, theta)
+    return _curve_point(r, theta, mag)
 
 
 def trace_level_curve(
@@ -367,9 +449,9 @@ def _mirrored_curve(r, thetas, precision_bits) -> LevelCurve:
     """
     m = len(thetas)
     with workprec(op_precision(precision_bits, r) + 16):
-        crossings = real_crossings(r, precision_bits)
+        crossings, mag = real_crossings(r, precision_bits), _modulus(r)
         half = [
-            _half_node(r, j, m, thetas[j], crossings) for j in range(m // 2 + 1)
+            _half_node(r, j, m, thetas[j], crossings, mag) for j in range(m // 2 + 1)
         ]
         # conjugate() rounds to the ambient precision, the nodes' own here.
         points = half + [z.conjugate() for z in reversed(half[1:-1])]

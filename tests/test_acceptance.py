@@ -118,6 +118,8 @@ def test_criterion_4_rootfinder_vieta():
                 failures.append(f"{label}: product residual {mp.nstr(rel_prod, 5)}")
             if not worst_res <= res_tol:
                 failures.append(f"{label}: root residual {mp.nstr(worst_res, 5)}")
+            if not zs.sweep_bits < prec:  # swept at the roots' condition
+                failures.append(f"{label}: swept at {zs.sweep_bits} bits")
     triple = find_roots(monic_rescaled(LaguerreSpec(3, mpf(-3), 3), 128), 128)
     assert triple.origin_multiplicity == 3
     assert not failures, "; ".join(failures)

@@ -179,18 +179,19 @@ LADDER = ("limit-law", "circle", "newton-polygon")
 
 
 def _fail_first(monkeypatch, k):
-    """Make the first k Aberth runs report non-convergence; returns the list
-    of runs made ("pairs" when npairs > 0, else "full")."""
-    sweeps = rootfinding._sweeps
+    """Make the first k rungs that run fail whole: each reports
+    non-convergence with its starts, polished, as its rows.  Returns the list
+    of rungs run ("pairs" when npairs > 0, else "full")."""
+    run_rung = rootfinding._run_rung
     calls = []
 
     def fake(coeffs, starts, npairs, tol):
         calls.append("pairs" if npairs > 0 else "full")
         if len(calls) <= k:
-            return list(starts), False, 0
-        return sweeps(coeffs, starts, npairs, tol)
+            return rootfinding._polish(coeffs, list(starts)), False, 0, 0
+        return run_rung(coeffs, starts, npairs, tol)
 
-    monkeypatch.setattr(rootfinding, "_sweeps", fake)
+    monkeypatch.setattr(rootfinding, "_run_rung", fake)
     return calls
 
 
@@ -335,16 +336,16 @@ def _one_law_pair_run(n, alpha, bits, sweeps, monkeypatch):
 
 
 def test_limit_law_seeds_figure_two(monkeypatch):
-    _one_law_pair_run(60, ap_real("-60.1", 512), 512, 6, monkeypatch)
+    _one_law_pair_run(60, ap_real("-60.1", 512), 512, 4, monkeypatch)
 
 
 @pytest.mark.parametrize(
     "kind, param, n, sweeps",
     [
-        ("fig3", None, 60, 7),
+        ("fig3", None, 60, 6),
         ("generic", {"c": "0.399"}, 40, 5),
-        ("exponential", {"r": "0.870"}, 40, 6),
-        ("superexponential", {}, 22, 7),
+        ("exponential", {"r": "0.870"}, 40, 5),
+        ("superexponential", {}, 22, 5),
     ],
     ids=["fig3", "generic-40", "exponential-40", "superexp-22"],
 )
@@ -538,3 +539,107 @@ def test_aberth_substitutes_a_zero_derivative():
         assert converged and roots[0] == 1
         for r in _cube_roots_of_unity():
             assert min(abs(z - r) for z in roots) <= mpf(2) ** -64
+
+
+def _record_sweeps(monkeypatch):
+    """Record (grid, sweeps) of every Aberth run, grid None at full width."""
+    real = rootfinding._sweeps
+    runs = []
+
+    def recorded(coeffs, starts, npairs, tol, F=None, floor=None):
+        out = real(coeffs, starts, npairs, tol, F, floor)
+        runs.append((F, out[2]))
+        return out
+
+    monkeypatch.setattr(rootfinding, "_sweeps", recorded)
+    return runs
+
+
+def _rows(zs):
+    return zs.zeros, zs.residuals, zs.radii, zs.start
+
+
+@pytest.mark.parametrize(
+    "name", ["fig2", "exponential-40", "generic-40", "superexp-22", "superexp-30"]
+)
+def test_narrow_sweeps_deliver_the_full_width_rows(name, monkeypatch):
+    # The law rung sweeps at W = kappa-hat + 128 bits, below the precision
+    # P, climbs and polishes at full width, and returns the rows of a solve
+    # whose every sweep runs at full width (the margin patched so that W
+    # passes P) bit for bit.
+    if name == "superexp-30":
+        sched = make_schedule("superexponential")
+        bits = sched.precision_bits(30)
+        coeffs = monic_rescaled(LaguerreSpec.contracted(30, sched.alpha_at(30)), bits)
+    else:
+        coeffs, bits = _radius_case(name)
+    runs = _record_sweeps(monkeypatch)
+    zs = find_roots(coeffs, bits)
+    assert [F for F, _ in runs] == [zs.sweep_bits] and zs.sweep_bits < bits
+    monkeypatch.setattr(rootfinding, "_KAPPA_MARGIN", 1 << 20)
+    runs.clear()
+    full = find_roots(coeffs, bits)
+    assert runs == [(None, full.sweeps)]
+    P, F, s, b = _fixed_setup(coeffs, bits)
+    assert full.sweep_bits == F
+    assert _rows(zs) == _rows(full)
+
+
+@pytest.mark.parametrize("case", ["no-margin", "kappa-too-low"])
+def test_too_narrow_sweeps_fall_back_to_full_width(case, monkeypatch):
+    # Two ways a narrow run cannot deliver.  With no margin above kappa-hat
+    # (42 bits on fig 2) it stops at its floor after a sweep and the climb
+    # has no good bits to double, so its roots fail the gate.  With
+    # kappa-hat 100 bits too low (26-bit sweeps on the superexponential
+    # n = 22 cluster) it converges on the coefficients cut to W, but the
+    # climb's first step is longer than the bits it assumes.  Either way
+    # full-width sweeps from the roots reached return the full-width rows bit
+    # for bit.
+    coeffs, bits = _horner_case("fig2") if case == "no-margin" else _radius_case("superexp-22")
+    margin, condition = rootfinding._KAPPA_MARGIN, rootfinding._condition
+    monkeypatch.setattr(rootfinding, "_KAPPA_MARGIN", 1 << 20)
+    full = find_roots(coeffs, bits)
+    if case == "no-margin":
+        monkeypatch.setattr(rootfinding, "_KAPPA_MARGIN", 0)
+    else:
+        monkeypatch.setattr(rootfinding, "_KAPPA_MARGIN", margin)
+        monkeypatch.setattr(rootfinding, "_condition", lambda *args: condition(*args) - 100)
+    runs = _record_sweeps(monkeypatch)
+    zs = find_roots(coeffs, bits)
+    (narrow, sweeps), (wide, wide_sweeps) = runs
+    assert 0 < narrow < bits and wide is None
+    assert sweeps <= 5 < rootfinding.SWEEP_CAP
+    assert zs.sweep_bits == full.sweep_bits and zs.sweeps == wide_sweeps
+    assert _rows(zs) == _rows(full)
+
+
+@pytest.mark.parametrize(
+    "kind, n, kappa",
+    [("generic", 60, 40), ("generic", 120, 87), ("superexponential", 22, -3)],
+)
+def test_kappa_hat_is_the_starts_condition(kind, n, kappa):
+    # kappa-hat on the law rung's starts, from the scaled ints, bounds the
+    # condition log2(A(|z|) / (|z| |p'(z)|)) of each start, computed in mp
+    # on the exact scaled coefficients, by at most 3 bits from above; the
+    # values measured in doubles were 40.4 / 87.2 / -3.1 bits.
+    sched = make_schedule(kind, **({"c": ap_real("0.1", 64)} if kind == "generic" else {}))
+    bits, alpha = sched.precision_bits(n), sched.alpha_at(n)
+    spec = LaguerreSpec.contracted(n, alpha)
+    coeffs = monic_rescaled(spec, bits)
+    P, F, s, b = _fixed_setup(coeffs, bits)
+    with workprec(P):
+        counts = rootfinding._real_zero_counts(spec)
+        starts, _ = rootfinding._limit_law_starts(spec, n, counts)
+        points = [(to_fixed(mpc(z).real, F - s), to_fixed(mpc(z).imag, F - s)) for z in starts]
+    got = rootfinding._condition(b, points, F)
+    worst = None
+    with workprec(2 * F):
+        c = [mp.ldexp(a, -s * (n - k)) for k, a in enumerate(coeffs.coeffs)]
+        for x, y in points:
+            z = mpc(mp.ldexp(x, -F), mp.ldexp(y, -F))
+            t = abs(z)
+            _, dp = _horner_pair(c, z)
+            k = mp.log(mp.fsum(abs(a) * t**j for j, a in enumerate(c)) / (t * abs(dp)), 2)
+            worst = k if worst is None else max(worst, k)
+    assert worst <= got <= worst + 3
+    assert abs(worst - kappa) < 2

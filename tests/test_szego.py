@@ -7,6 +7,7 @@ from mpmath import mp, mpc, mpf
 
 from szegolab import szego
 from szegolab.errors import InvalidParameter, NonConvergence
+from szegolab.fixed import cexp
 from szegolab.potential import graded_mu_r
 from szegolab.precision import ap_real, op_precision, workprec
 from szegolab.szego import (
@@ -217,9 +218,9 @@ def test_graded_curve_is_mirrored_and_solves_phi(monkeypatch):
     calls = []
     real = szego._curve_point
 
-    def curve_point_counted(r, theta):
+    def curve_point_counted(r, theta, mag):
         calls.append(theta)
-        return real(r, theta)
+        return real(r, theta, mag)
 
     monkeypatch.setattr(szego, "_curve_point", curve_point_counted)
     for r in (0, 1):
@@ -254,7 +255,7 @@ def test_curve_point_matches_lambertw(r, bits):
         for theta in thetas:
             if r == 0 and theta == 0:
                 continue  # the corner; see test_curve_point_at_the_corner
-            z = szego._curve_point(r, theta)
+            z = szego._curve_point(r, theta, szego._modulus(r))
             ref = -mp.lambertw(-mp.exp(-1 - r + 1j * theta))
             assert z == ref or abs(z - ref) <= abs(ref) * mpf(2) ** -bits, theta
 
@@ -290,6 +291,79 @@ def test_w0_cap_carries_the_last_iterate(monkeypatch, r, theta):
         assert gap(-err.value.best, z, PREC) <= mpf("1e-40")
 
 
+@pytest.mark.parametrize("bits", [128, 192, 528, 1240])
+@pytest.mark.parametrize("r", ["0", "1e-70", "0.3", "22"])
+def test_node_argument_is_mp_exp_to_the_last_bit(r, bits):
+    # e^(-1-r) is computed once per curve (_modulus), and each node's
+    # argument from it must still be -mp.exp(-1 - r + i theta) bit for bit:
+    # at the equispaced and graded angles of an M = 64 curve, at 1e-30, at
+    # theta = 0 and at a theta with more bits than the precision.  r too has
+    # more bits, so -1 - r rounds.
+    M = 64
+    with workprec(bits + 64):
+        r = mpf(r)
+        wide = mp.pi / 3
+    with workprec(bits):
+        mag = szego._modulus(r)
+        grid = [2 * mp.pi * j / M for j in range(M)]
+        thetas = grid + [s - mp.sin(s) for s in grid] + [mpf("1e-30"), wide]
+        for theta in thetas:
+            x = szego._argument(r, theta, mag)
+            assert x._mpc_ == (-mp.exp(-1 - r + 1j * theta))._mpc_, theta
+
+
+@pytest.mark.parametrize(
+    "r, theta, bits",
+    [
+        ("0", "1e-30", PREC),  # e x + 1 cancels about 100 bits: branch series
+        ("1e-12", "1e-6", 528),
+        ("0.5", "2", 528),
+        ("22", "1", PREC),  # |x| = e^-23
+        ("22", "3", 1240),
+        ("0.3", None, 528),  # the real crossings
+        ("1e-12", None, PREC),
+    ],
+)
+def test_exp_update_stays_within_its_bound(r, theta, bits, monkeypatch):
+    # _w0 takes e^w from fixed.cexp once, then updates it after each step by
+    # the series of e^(-u), u = w - w_new.  After every update the running
+    # e^w must lie within the bound of _w0's docstring, summed over the
+    # updates so far, of a fresh cexp of the new w, allowing both cexp calls
+    # their 32 (1 + e^(Re w)) units.  A real x keeps e^w exactly real.
+    real = szego._exp_step
+    chains = []
+
+    def checked(er, ei, wr, wi, nr, ni, F):
+        out = real(er, ei, wr, wi, nr, ni, F)
+        if not chains or chains[-1][-1][4:6] != (wr, wi):
+            assert (er, ei) == cexp(wr, wi, F)
+            chains.append([])
+        chains[-1].append((er, ei, wr, wi, nr, ni, F, out))
+        return out
+
+    monkeypatch.setattr(szego, "_exp_step", checked)
+    r = ap_real(r, bits)
+    if theta is None:
+        real_crossings(r, bits)
+    else:
+        curve_point(r, mpf(theta), bits)
+    assert chains
+    worst = 0
+    for chain in chains:
+        total = 0
+        for er, ei, wr, wi, nr, ni, F, (outr, outi) in chain:
+            g = F - max(abs(nr - wr), abs(ni - wi)).bit_length()
+            terms = F // (g - 1) + 2
+            size = ((abs(er) + abs(ei)) >> F) + 1
+            total += (3 * terms + 5) * size + 2
+            fr, fi = cexp(nr, ni, F)
+            err = max(abs(outr - fr), abs(outi - fi))
+            assert err <= total + 64 * (1 + size)
+            assert theta is not None or outi == 0
+            worst = max(worst, err)
+    assert worst > 0  # the updates are not exact, so the check has teeth
+
+
 @pytest.mark.parametrize("P", [80, 208, 528, 1088])
 @pytest.mark.parametrize("r", ["0", "1e-40", "1e-12", "0.3", "1", "22", "800", "1e300"])
 def test_nodes_match_lambertw_at_twice_the_precision(r, P):
@@ -307,7 +381,7 @@ def test_nodes_match_lambertw_at_twice_the_precision(r, P):
         thetas = [s - mp.sin(s) for s in (2 * mp.pi * j / M for j in (1, 2, 5, 40))]
         thetas += [mpf("1e-30"), mpf("0.5"), mpf(2), mp.pi - mpf("1e-9")]
         for theta in thetas:
-            z = szego._curve_point(r, theta)
+            z = szego._curve_point(r, theta, szego._modulus(r))
             x = -mp.exp(-1 - r + 1j * theta)
             d = mp.e * x + 1
             if not d:
