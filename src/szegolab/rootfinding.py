@@ -49,7 +49,7 @@ polynomial with coefficients c_k 2^(s(k - m)), which is of order 1 on its
 zeros.  Coefficients and iterates are ints on 2^-F, F the working
 precision plus _FIXED_GUARD bits; each Horner product is an int multiply
 and a shift, and each term of sum 1/(z - z_j) one int division.  After the
-Aberth sweeps, one function (_polish) takes two Newton steps per root on
+Aberth sweeps, one function (_polish) takes the Newton steps per root on
 the same ints, rounds the root once to the working precision, and reads
 its residual |p/p'| and a certified radius from one more Horner pass with
 running error bounds.  The real snap re-polishes the snapped point the
@@ -63,14 +63,14 @@ schedules' law seeds (40 bits at generic n = 60, 183 at n = 240, against
 F = 303 and 933) and -3 on the superexponential cluster (F = 8089 at
 n = 60).  So each rung sweeps at W = kappa-hat + _KAPPA_MARGIN bits, with
 kappa-hat the largest kappa of its starts (_condition), until the largest
-step is 2^-(_KAPPA_MARGIN / 2) of the roots' scale.  Newton steps on grids
-whose good bits double, each checked against the bits it assumes
-(_climb), and _polish then take the roots to F, and the max(residual) <=
-tol gate is kept.  If the narrow run or the climb fails, or a residual
-exceeds tol, full-width sweeps start from the roots reached.  (MPSolve
-likewise raises precision only where its inclusion radii need it: Bini &
-Robol, J. Comput. Appl. Math. 272, 2014.)  ZeroSet.sweep_bits records the
-grid of the run that delivered the roots.
+step is 2^-(_KAPPA_MARGIN / 2) of the roots' scale.  _polish then takes
+every later Newton step: one on each grid whose good bits double, checked
+against the bits it assumes, and the last two at F; the max(residual) <=
+tol gate is kept.  If the narrow run or a checked step fails, or a
+residual exceeds tol, full-width sweeps start from the roots reached.
+(MPSolve likewise raises precision only where its inclusion radii need
+it: Bini & Robol, J. Comput. Appl. Math. 272, 2014.)  ZeroSet.sweep_bits
+records the grid of the run that delivered the roots.
 """
 
 from __future__ import annotations
@@ -357,20 +357,32 @@ def _sweeps(coeffs, starts, npairs, tol, F=None, floor=None):
     return roots, small, sweep
 
 
-def _climb(coeffs, roots, kappa, W):
-    """Newton steps from roots good to a = W - kappa bits, one on each grid
-    2^-G, G = kappa + 2^j a for j = 1, 2, ... while G is below _polish's
-    grid, each on the coefficients cut to G; None if a step is longer than
-    2^(-a/2) |y|, a the good bits it assumes.
+def _polish(coeffs, roots, kappa=0, a=0):
+    """Newton steps, a residual and a radius per root of the monic coeffs
+    (degree m >= 1); returns a (root, residual, radius) triple each, or None.
 
-    A step about doubles the good bits, and a grid 2^-G holds about
-    G - kappa of them, so the last step leaves at least half of what
-    _polish's grid holds, and _polish's first full-width step the rest.
-    The test on each step makes sure that a root had at least half the bits
-    assumed; roots with no good bits (a <= 0) are not stepped.
+    Roots good to a bits above the condition kappa (none if a <= 0) first
+    take one step on each grid 2^-G, G = kappa + 2^j a for j = 1, 2, ...
+    while G < F, on the coefficients cut to G, and are rounded to the working
+    precision after each.  A step about doubles the good bits and 2^-G holds
+    about G - kappa of them, so the last leaves at least half of what 2^-F
+    holds.  None if a step is longer than 2^(-a/2) |y|, a the bits it
+    assumes: the root had less than half of them.
+
+    On _fixed_coeffs' grid 2^-F each root then takes two steps, each one
+    _horner_fixed pass and one cdiv, skipped once p or p' is 0, and is
+    rounded once to the working precision.  At y, that root cut to 2^-F,
+    one more pass takes p on 2^-F as _horner_fixed has it and p' on
+    2^-G >= 2^-F, from y and p cut to G bits (128 beyond |y|^m).  Each
+    product and cut errs by under a unit per part, so the errors obey
+    e_k <= |y| e_(k+1) + 3 and d_k <= (|y| + 3 2^-G) d_(k+1) + 3 +
+    2^(1-G) |p'_(k+1)| + 2^(G-F) e_(k+1) units, from 0 (Higham 2002,
+    section 5.1).  The residual is |p/p'| there (0 where p = 0, inf where
+    p' = 0).  By Newton's disk a root lies within
+    m (|p| + e_0) / (|p'| - d_0) (inf if |p'| <= d_0), plus 2 units for the
+    cut: the radius, rounded up.
     """
     F = mp.prec + _FIXED_GUARD
-    a = W - kappa
     while 0 < a and kappa + 2 * a < F:
         G = kappa + 2 * a
         s, b = _fixed_coeffs(coeffs, G)
@@ -385,27 +397,7 @@ def _climb(coeffs, roots, kappa, W):
                 x, y = x - hr, y - hi
             out.append(to_mpc(x, y, G - s))
         roots, a = out, 2 * a
-    return roots
-
-
-def _polish(coeffs, roots):
-    """Two Newton steps, a residual and a radius per root of the monic
-    coeffs (degree m >= 1); returns a (root, residual, radius) triple each.
-
-    On _fixed_coeffs' grid each step is one _horner_fixed pass and one cdiv,
-    skipped once p or p' is 0, and the root is then rounded once to the
-    working precision.  At y, that root cut to 2^-F, one more pass takes p
-    on 2^-F as _horner_fixed has it and p' on 2^-G >= 2^-F, from y and p cut
-    to G bits (128 beyond |y|^m).  Each product and cut errs by under a unit
-    per part, so the errors obey e_k <= |y| e_(k+1) + 3 and d_k <= (|y| +
-    3 2^-G) d_(k+1) + 3 + 2^(1-G) |p'_(k+1)| + 2^(G-F) e_(k+1) units, from 0
-    (Higham 2002, section 5.1).  The residual is |p/p'| there (0 where
-    p = 0, inf where p' = 0).  By Newton's disk a root lies within
-    m (|p| + e_0) / (|p'| - d_0) (inf if |p'| <= d_0), plus 2 units for the
-    cut: the radius, rounded up.
-    """
     m = len(coeffs) - 1
-    F = mp.prec + _FIXED_GUARD
     s, b = _fixed_coeffs(coeffs, F)
     polished = []
     for z in map(mpc, roots):
@@ -575,10 +567,9 @@ def _run_rung(c, starts, npairs, tol):
 
     The sweeps run at W = kappa-hat + _KAPPA_MARGIN bits (_condition, on
     the starts), if that is below the full grid F: on the coefficients cut
-    to W, down to the grid's floor.  _climb and _polish then take the roots
-    to F.  If that run or the climb fails, or a residual exceeds tol,
-    full-width sweeps start again from the roots reached, climbed where the
-    climb held.
+    to W, down to the grid's floor, and _polish takes the roots to F.  If
+    that run or a step of _polish fails, or a residual exceeds tol,
+    full-width sweeps start again from the best roots reached.
     """
     F = mp.prec + _FIXED_GUARD
     s, b = _fixed_coeffs(c, F)
@@ -587,15 +578,12 @@ def _run_rung(c, starts, npairs, tol):
     kappa = _condition(b, points, F)
     if kappa is not None and kappa + _KAPPA_MARGIN < F:
         W = kappa + _KAPPA_MARGIN
-        floor = kappa + _KAPPA_MARGIN // 2
-        roots, converged, sweeps = _sweeps(c, zs, npairs, tol, W, floor)
-        climbed = _climb(c, roots, kappa, W) if converged else None
-        if climbed is not None:
-            polished = _polish(c, climbed)
+        zs, converged, sweeps = _sweeps(c, zs, npairs, tol, W, kappa + _KAPPA_MARGIN // 2)
+        polished = _polish(c, zs, kappa, _KAPPA_MARGIN) if converged else None
+        if polished is not None:
             if max(res for _, res, _ in polished) <= tol:
                 return polished, True, sweeps, W
-            roots = climbed
-        zs = roots
+            zs = [z for z, _, _ in polished]
     roots, converged, sweeps = _sweeps(c, zs, npairs, tol)
     polished = _polish(c, roots)
     converged = converged and max(res for _, res, _ in polished) <= tol

@@ -117,15 +117,16 @@ def real_crossings(r, precision_bits: int = DEFAULT_TRACE_PRECISION):
 
     x0 in (0, 1] solves x e^(1-x) = e^(-r), so x0 = -W_0(-e^(-1-r));
     x_neg in (-1, 0) solves |x| e^(1-x) = e^(-r), so x_neg = -W_0(e^(-1-r)).
-    Where -e^(-1-r) rounds onto or below the branch point -1/e (r = 0, or r
-    below the working precision), W_0 there is not real; x0 is then the
-    corner 1.
+    At r = 0, x0 is the corner 1, W_0(-1/e) = -1, without _w0, which would
+    solve at the rounded -e^(-1), a few ulps off -1/e.  Where -e^(-1-r)
+    rounds below the branch point (r below the working precision), W_0
+    there is not real; x0 is then the corner 1 too.
     """
     r = _check_r(r)
     with workprec(op_precision(precision_bits, r) + 16):
         x = mp.exp(-1 - r)
-        w = _w0(-x)
-        x0 = mpf(1) if r == 0 or w.imag else -w.real
+        w = _w0(-x) if r else mpc(-1)
+        x0 = mpf(1) if w.imag else -w.real
         return x0, -_w0(x).real
 
 
@@ -147,8 +148,12 @@ def _w0(x):
     Where e x + 1 cancels c > _BRANCH_BITS bits, the seed is the branch
     series -1 + p - p^2/3 + 11 p^3/72, p = sqrt(2 (e x + 1)) (Corless et al.
     1996), and as in lambertw the precision rises by c/2 bits, or the
-    ill-conditioned steps near -1/e cannot meet the stop rule.  Where e x + 1
-    rounds to 0, x is the branch point and W_0(x) = -1.  Raises
+    ill-conditioned steps near -1/e cannot meet the stop rule.  p takes
+    e x + 1 at that precision too: at prec bits it errs by about 2^-prec,
+    and where x lies a few ulps from -1/e its sign can be wrong, so that a
+    real x beyond -1/e gets a real seed for its complex W_0, which the
+    exactly real steps never reach.  Where e x + 1 rounds to 0, x is the
+    branch point and W_0(x) = -1.  Raises
     NonConvergence after _W0_MAX_ITER steps, where lambertw only warns.
 
     With k = mag(x) the steps solve v e^(2^k v) = x / 2^k for v = w / 2^k,
@@ -181,7 +186,7 @@ def _w0(x):
     grids = [F]
     if cancel > _BRANCH_BITS:
         with workprec(F):
-            p = mp.sqrt(2 * d)
+            p = mp.sqrt(2 * (mp.e * x + 1))
             w = -1 + p * (1 + p * (mpf(-1) / 3 + p * mpf(11) / 72))
     else:
         w = fp.lambertw(complex(x))

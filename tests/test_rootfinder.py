@@ -613,6 +613,51 @@ def test_too_narrow_sweeps_fall_back_to_full_width(case, monkeypatch):
     assert _rows(zs) == _rows(full)
 
 
+def test_gate_failure_restarts_full_width_from_the_polished_zeros(monkeypatch):
+    # On fig 2 the narrow run converges and every checked step of _polish
+    # holds, so with a tol that no residual meets only the gate fails, and
+    # the full-width sweeps (stubbed here) start from _polish's zeros.
+    coeffs, bits = _radius_case("fig2")
+    P, F, s, b = _fixed_setup(coeffs, bits)
+    real, polish = rootfinding._sweeps, rootfinding._polish
+    runs, rows = [], []
+
+    def recorded(c, starts, npairs, tol, F=None, floor=None):
+        runs.append((F, list(starts)))
+        return real(c, starts, npairs, tol, F, floor) if F else (list(starts), False, 0)
+
+    def polished(*args):
+        rows.append(polish(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(rootfinding, "_sweeps", recorded)
+    monkeypatch.setattr(rootfinding, "_polish", polished)
+    with workprec(P):
+        starts, npairs = rootfinding._limit_law_starts(coeffs.spec, coeffs.degree)
+        tol = mpf(2) ** -(4 * F)
+        out = rootfinding._run_rung(list(coeffs.coeffs), starts, npairs, tol)
+    (narrow, _), (wide, wide_starts) = runs
+    assert 0 < narrow < F and wide is None
+    assert rows[0] is not None and wide_starts == [z for z, _, _ in rows[0]]
+    assert out[1:] == (False, 0, F)
+
+
+def test_bare_cluster_hands_off_to_full_width(monkeypatch):
+    # Without its spec the superexponential n = 22 cluster has no law rung.
+    # The circle run at kappa-hat + 128 bits ends unconverged after
+    # SWEEP_CAP sweeps; full-width sweeps from its roots then converge, and
+    # the zeros are the spec solve's.
+    coeffs, bits = _radius_case("superexp-22")
+    spec_zs = find_roots(coeffs, bits)
+    runs = _record_sweeps(monkeypatch)
+    zs = find_roots(CoeffList(coeffs.coeffs, monic_flag=True), bits)
+    assert bits == 1240 and zs.spec is None
+    assert runs == [(126, rootfinding.SWEEP_CAP), (None, 9)] and zs.sweeps == 9
+    assert zs.start == "circle" and zs.sweep_bits == _fixed_setup(coeffs, bits)[1] == 1264
+    assert zs.zeros == spec_zs.zeros
+    assert max(zs.residuals) <= mpf(2) ** -(bits // 2)
+
+
 @pytest.mark.parametrize(
     "kind, n, kappa",
     [("generic", 60, 40), ("generic", 120, 87), ("superexponential", 22, -3)],

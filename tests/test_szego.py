@@ -41,6 +41,29 @@ def test_real_crossings_r0():
         assert gap(abs(phi_map(x_neg, PREC)), mpf(1), PREC) <= mpf(2) ** -180
 
 
+@pytest.mark.parametrize("bits", range(64, 1393, 16))
+def test_real_crossings_r0_is_the_corner_at_every_precision(bits):
+    # At r = 0 the rounded -e^(-1) lies a few ulps off -1/e; at 576, 656
+    # and 1232 bits _w0 once stalled there.  x0 is the corner without it.
+    assert real_crossings(0, bits)[0] == 1
+    if bits == 576:
+        assert len(trace_level_curve(0, 16, bits)) == 16
+
+
+@pytest.mark.parametrize("bits", [576, 656, 1232])
+def test_w0_beyond_the_branch_point_by_a_few_ulps(bits):
+    # At these precisions -e^(-1-r) for r below 2^-bits rounds a few ulps
+    # beyond -1/e, where e x + 1 at the working precision has the wrong
+    # sign.  W_0 there is complex, as mpmath's lambertw has it, so x0 is the
+    # corner.
+    r = mpf(2) ** -(bits + 30)
+    with workprec(op_precision(bits, r) + 16):
+        ref = mp.lambertw(-mp.exp(-1 - r))
+        w = szego._w0(-mp.exp(-1 - r))
+        assert w.imag > 0 and gap(w, ref, mp.prec) <= mpf(2) ** -(bits // 2)
+    assert real_crossings(r, bits)[0] == 1
+
+
 def test_real_crossings_general():
     for r_text in ("0.05", "0.1919", "1", "3"):
         r = ap_real(r_text, PREC)
