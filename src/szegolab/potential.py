@@ -20,13 +20,19 @@ log_potential share the pair kernel measures._log_pair_sum: it converts the
 points once to Gaussian integers on one power-of-two scale, so every
 squared distance is an exact int, multiplies blocks of up to 64
 equal-weight factors, and adds each block's fixed-point log times its
-weight as ints, rounding the total once.  harmonic_moments and
+weight as ints, rounding the total once.  A discretize_mu_r support is
+mirrored, node M - j the exact conjugate of node j, with equal weights, so
+conjugation maps its pairs onto pairs at the same distance: weighted_energy
+sums one pair of each such orbit, twice, and the self-conjugate pairs
+(0, M/2) and (j, M - j) once, about M^2/4 squared distances instead of
+M^2/2 (derived in its docstring).  harmonic_moments and
 pullback_density run on szegolab.fixed ints too.  weighted_leja keeps
 omega^(2k) prod |z - z_j|^2 per grid node as an mpf product and takes a
 single log at the end.  It picks each greedy point through a
 double-precision shadow of the products' logs, whose running rounding-error
 bound, derived in the standard model, certifies which few nodes can win the
-step.  The shadow reads the grid as doubles with certified radii
+step; one pass per step updates the shadow and finds those nodes.  The
+shadow reads the grid as doubles with certified radii
 (szego._shadow_half), so the grid is never traced: a node is evaluated at
 full precision only once it can win.  Only the candidates' products are
 brought up to date, lazily and in the order of an update of every node, so
@@ -320,6 +326,20 @@ class EnergyResult:
         return iter((self.energy, self.robin))
 
 
+def _mirrored(xs, ys, weights) -> bool:
+    """Whether the m points (xs[j] + i ys[j]) 2^e, j < m, are laid out as a
+    LevelCurve's, node m - j the exact conjugate of node j, with equal
+    weights: the layout weighted_energy folds."""
+    m = len(xs)
+    return (
+        m % 2 == 0
+        and all(w == weights[0] for w in weights)
+        and all(
+            xs[j] == xs[-j] and ys[j] == -ys[-j] for j in range(m // 2 + 1)
+        )
+    )
+
+
 def weighted_energy(mu: DiscreteMeasure, precision_bits: int = 128) -> EnergyResult:
     """Discrete weighted energy of mu, diagonal excluded.
 
@@ -327,33 +347,74 @@ def weighted_energy(mu: DiscreteMeasure, precision_bits: int = 128) -> EnergyRes
     with phi_ext from DEFAULT_FIELD; the diagonal exclusion biases I by
     O(log M / M), which the calling checks absorb into their tolerances.
     The pair part is -sum_i w_i sum_{j>i} w_j log|x_i - x_j|^2, one log
-    per block of squared distances.  Zero-weight points are skipped, and a
-    weighted point at 0, where phi_ext is infinite, is refused.  The
-    support is converted to Gaussian integers once, and every row runs the
-    exact-integer kernel measures._log_pair_sum on them.
+    per block of squared distances.  Zero-weight points are skipped; the
+    remaining support needs 2 points, and a point of it at 0, where phi_ext
+    is infinite, is refused.  The support is converted to Gaussian integers
+    once, and every row runs the exact-integer kernel measures._log_pair_sum
+    on them.
+
+    A support of m points laid out like a LevelCurve's, node m - j the exact
+    conjugate of node j, with equal weights w (every discretize_mu_r
+    measure), is folded.  Conjugation j -> m - j (mod m) keeps every
+    distance, so it splits the pairs into orbits of equal terms.  An orbit
+    has two pairs but for the self-conjugate ones, (0, m/2) and (i, m - i)
+    for 0 < i < m/2.  One pair of each two-pair orbit is taken: row 0 over
+    j = 1 .. m/2 - 1, row i = 1 .. m/2 - 1 over i < j < m - i, every term
+    counted twice; one more kernel call sums the self-conjugate pairs, once,
+    as the distances of their difference vectors x_0 - x_(m/2) and 2 i Im x_i
+    from 0.  So the kernel sees about m^2/4 squared distances instead of
+    m^2/2.  phi_ext(conj x) = phi_ext(x) exactly, so the field sum runs
+    over nodes 0 .. m/2, the inner ones counted twice; it is the same exact
+    sum as over all m nodes, rounded once, so the field part is unchanged.
+    Any other support, a graded measure's with its zero weight at node 0
+    among them, runs all m - 1 rows.
+
+    Let P be the working precision, precision_bits (or more for wider
+    points) plus 16, and lam = max |log|x_i - x_j|^2| over the support.
+    Each kernel sum R errs by less than 2^-(P + 15) (1 + lam) before it is
+    rounded to P bits, and its term -c w_i R, c = 1 or 2, is rounded once
+    more.  The counts c w_i sum to at most 1 + w, and the terms c w_i |R|
+    to at most sum_(i<j) w_i w_j |log|x_i - x_j|^2| <= lam / 2, so the pair
+    part errs by less than 2^-P (1.01 lam + 2^-14) before its sum is
+    rounded, folded or not.  The field part is the same sum both ways.  So
+    the folded and the unfolded energy, and their Robin values, differ by
+    less than 2^(3 - P) (1 + lam + |I| + |F|), F = I - int phi_ext dmu.
     """
-    pts = mu.points
-    if len(pts) < 2:
-        raise InvalidParameter("weighted energy needs at least 2 points")
-    prec = op_precision(precision_bits, *pts)
+    prec = op_precision(precision_bits, *mu.points)
     with workprec(prec + 16):
-        support, weights = zip(*((x, w) for x, w in zip(pts, mu.weights) if w))
+        support = [(x, w) for x, w in zip(mu.points, mu.weights) if w]
+        if len(support) < 2:
+            raise InvalidParameter("weighted energy needs at least 2 weighted points")
+        support, weights = zip(*support)
         if any(x == 0 for x in support):
             raise InvalidParameter("a support point at 0 gives infinite energy")
         xs, ys, e = gaussian_ints(support)
         m = len(support)
-        rows = []
-        for i in range(m - 1):
-            row = _log_pair_sum(xs[i], ys[i], xs, ys, weights, range(i + 1, m), e, 0)
-            if row is None:
-                raise InvalidParameter(
-                    "coincident support points give infinite energy"
-                )
-            rows.append(-weights[i] * row)
+        if _mirrored(xs, ys, weights):
+            h = m // 2
+            # (row, its js, count): one pair of each two-pair orbit, twice
+            rows = [(0, range(1, h), 2)]
+            rows += [(i, range(i + 1, m - i), 2) for i in range(1, h)]
+            nodes = [(0, 1), (h, 1)] + [(j, 2) for j in range(1, h)]
+            # the self-conjugate pairs, once: their difference vectors from 0
+            dx = [xs[0] - xs[h]] + [0] * (h - 1)
+            dy = [0] + [2 * y for y in ys[1:h]]
+            sums = [(1, 0, _log_pair_sum(0, 0, dx, dy, weights, range(h), e, 0))]
+        else:
+            rows = [(i, range(i + 1, m), 1) for i in range(m - 1)]
+            nodes = [(j, 1) for j in range(m)]
+            sums = []
+        sums += [
+            (c, i, _log_pair_sum(xs[i], ys[i], xs, ys, weights, js, e, 0))
+            for i, js, c in rows
+        ]
+        if any(row is None for _, _, row in sums):
+            raise InvalidParameter("coincident support points give infinite energy")
         field_sum = mp.fsum(
-            w * DEFAULT_FIELD.phi(x, precision_bits) for x, w in zip(support, weights)
+            c * (weights[j] * DEFAULT_FIELD.phi(support[j], precision_bits))
+            for j, c in nodes
         )
-        energy = mp.fsum(rows) + 2 * field_sum
+        energy = mp.fsum(-c * (weights[i] * row) for c, i, row in sums) + 2 * field_sum
         return EnergyResult(energy=energy, robin=energy - field_sum)
 
 
@@ -402,9 +463,12 @@ class LejaResult:
 # plus less than 2^-69 in all for the mpf roundings of S_i (six of 2^-P per
 # step) and of omega2_i (2^(1-P)), and for subnormal coordinates or squares
 # once dx^2 + dy^2 > _SHADOW_TINY.  Per term E_i adds
-# 3 t + dlw_i + u (4 |l| + 3 |lw_i| + 3 |f| + 5), which rounds these up;
-# the surplus, over u (|f| + 1), also covers the rounding of F_i +- E_i in
-# the candidate test and of E_i's own sum.  The start F_i = lw_i errs by at
+# 3 t + dlw_i + u (4 |l| + 3 |lw_i| + 3 |f| + 5), which rounds these up.
+# Its per-node part de_i = dlw_i + u (3 |lw_i| + 5) is computed once per
+# call, and each step adds 3 t + de_i + u (4 |l| + 3 |f|): nine roundings of
+# relative u in all, as many as the increment took when it was one
+# expression per step.  The surplus, over u (|f| + 1), covers them and the
+# rounding of F_i +- E_i in the candidate test.  The start F_i = lw_i errs by at
 # most dlw_i + 2^(2-P), which dlw_i + u (3 |lw_i| + 2) covers in the same
 # way.  A node whose radius is not certified gets lw_i = 0 and E_i = inf.
 
@@ -417,6 +481,8 @@ _SHADOW_TINY = 2.0**-1000
 
 def _candidates(live, F, E) -> list:
     """Live nodes whose objective can be the largest, in index order.
+    weighted_leja takes them so at its first step and for its final max;
+    _shadow_step gives them after each step from its own pass.
 
     Node i is dropped only if F_i + E_i < max_j (F_j - E_j): its objective
     is then strictly below node j's, so every maximizer is kept.
@@ -425,9 +491,21 @@ def _candidates(live, F, E) -> list:
     return [i for i in live if F[i] + E[i] >= lo]
 
 
-def _shadow_step(c, live, xs, ys, rad, lw, dlw, F, E) -> None:
-    """Add the factor omega2_i |g_i - g_c|^2 to every live node's shadow."""
+def _shadow_step(c, live, xs, ys, rad, lw, de, F, E) -> list:
+    """Add the factor omega2_i |g_i - g_c|^2 to every live node's shadow;
+    returns _candidates(live, F, E) after it, from the same pass.
+
+    de_i is the per-node part of E_i's increment (derived above
+    _SHADOW_MOVE).  The pass keeps the running max lo of F_j - E_j and a
+    short list of the nodes with F_i + E_i >= lo at their turn.  lo only
+    grows, so a node left out has F_i + E_i below the final max and is no
+    candidate; the maximizer of F_j - E_j is kept, so the final filter of
+    the short list by the final lo gives exactly _candidates' set, in index
+    order.
+    """
     zx, zy, zr = xs[c], ys[c], rad[c]
+    lo = -math.inf
+    kept = []
     for i in live:
         dx = xs[i] - zx
         dy = ys[i] - zy
@@ -435,14 +513,17 @@ def _shadow_step(c, live, xs, ys, rad, lw, dlw, F, E) -> None:
         t = (rad[i] + zr) / math.sqrt(d2) if d2 > _SHADOW_TINY else math.inf
         if not t <= _SHADOW_MOVE:
             E[i] = math.inf
+            kept.append(i)
             continue
         lg = math.log(d2)
-        w = lw[i]
-        f = F[i] + (w + lg)
-        F[i] = f
-        E[i] += 3 * t + dlw[i] + _SHADOW_U * (
-            4 * abs(lg) + 3 * abs(w) + 3 * abs(f) + 5
-        )
+        f = F[i] + (lw[i] + lg)
+        err = E[i] + (3 * t + de[i] + _SHADOW_U * (4 * abs(lg) + 3 * abs(f)))
+        F[i], E[i] = f, err
+        if f - err > lo:
+            lo = f - err
+        if f + err >= lo:
+            kept.append(i)
+    return [i for i in kept if F[i] + E[i] >= lo]
 
 
 def _field_shadow(zs, rads, s) -> tuple:
@@ -531,13 +612,15 @@ def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResu
             S[i], done[i] = s, len(chosen)
             return s
 
+        de = [d + _SHADOW_U * (3 * abs(w) + 5) for d, w in zip(dlw, lw)]
+        cands = _candidates(live, F, E)
         for _ in range(N):
             # max keeps the first of equal keys, and candidates are in
             # index order: conjugate nodes tie after a real point.
-            best_i = max(_candidates(live, F, E), key=exact)
+            best_i = max(cands, key=exact)
             chosen.append(grid[best_i])
             live.remove(best_i)
-            _shadow_step(best_i, live, xs, ys, rads, lw, dlw, F, E)
+            cands = _shadow_step(best_i, live, xs, ys, rads, lw, de, F, E)
         # t_hat_N^2 = max_i S_i / omega(g_i)^2 (S carries k = N + 1); chosen
         # nodes, with S_i = 0, are not live.  G_i = F_i - lw_i shadows
         # ln(S_i / omega2_i) within EG_i: E_i plus lw_i and the subtraction.

@@ -76,7 +76,7 @@ records the grid of the run that delivered the roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import atan2, isqrt
 
 from mpmath import mp, mpc, mpf
 
@@ -459,6 +459,50 @@ def _sort_key(z):
     return (mp.arg(z), abs(z))
 
 
+# Double arguments further apart than this order their zeros' full keys.
+_ARG_GAP = 2.0**-48
+
+
+def _double_arg(z) -> float:
+    """arg z as a double a, |a - arg z| < 2^-50.
+
+    z / 2^s, 2^s = 2^mp.mag(z) >= |z|, has its larger part at least 1/4
+    in size, and float() rounds each part to nearest: the point moves by less
+    than 2^-53 sqrt(2) |z / 2^s| + 2^-1074 (a part that underflows keeps its
+    sign), so its argument by less than 2^-52.  A faithfully rounded atan2
+    adds less than one unit in the last place of |a| <= pi, 2^-51.
+    """
+    if not z:
+        return 0.0
+    s = mp.mag(z)
+    return atan2(float(mp.ldexp(z.imag, -s)), float(mp.ldexp(z.real, -s)))
+
+
+def _sorted_rows(rows) -> list:
+    """rows, (z, residual, radius), in the order of sorted(rows, key =
+    _sort_key of z), with the full key computed only where needed.
+
+    The rows are sorted by their double arguments (_double_arg) and cut into
+    runs where neighbours lie more than _ARG_GAP apart.  Across a cut the
+    true arguments differ by more than 2^-48 - 2 * 2^-50 = 2^-49, far above
+    the rounding of mp.arg at the working precision (at least 80 bits), so
+    the full keys are in the same order.  Each run is sorted by the full key
+    and then by the row's index, which is what the stable sort gives equal
+    keys.  Real zeros of one sign share the double argument 0 or pi, so
+    they form one run.
+    """
+    order = sorted((_double_arg(z), k) for k, (z, _, _) in enumerate(rows))
+    out, run = [], []
+    for j, (a, k) in enumerate(order):
+        run.append(k)
+        if j + 1 == len(order) or order[j + 1][0] - a > _ARG_GAP:
+            if len(run) > 1:
+                run.sort(key=lambda k: (_sort_key(rows[k][0]), k))
+            out += [rows[k] for k in run]
+            run = []
+    return out
+
+
 def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
     """All roots of a monic polynomial, each with residual <= tol and a radius.
 
@@ -511,7 +555,7 @@ def find_roots(coeffs: CoeffList, precision_bits: int, tol=None) -> ZeroSet:
                 max_residual=worst,
             )
         rows = [(mpc(0), mpf(0), mpf(0))] * mult
-        rows += sorted(polished, key=lambda row: _sort_key(row[0]))
+        rows += _sorted_rows(polished)
 
     return ZeroSet(
         zeros=tuple(z for z, _, _ in rows),

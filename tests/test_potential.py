@@ -1,14 +1,17 @@
 """Balayage measure discretization, potential identities, energy, and Leja."""
 
+import random
+
 import pytest
 from mpmath import mp, mpc, mpf
 
 from szegolab.cli import suite_lemma1
 from szegolab.errors import InvalidParameter, InvalidTestPoint, SingularEvaluation
 from szegolab import potential
-from szegolab.measures import DiscreteMeasure, _sq_dist, log_potential
+from szegolab.measures import DiscreteMeasure, _log_pair_sum, _sq_dist, log_potential
 from szegolab.potential import (
     DEFAULT_FIELD,
+    EnergyResult,
     discretize_mu_r,
     graded_mu_r,
     harmonic_moments,
@@ -319,6 +322,130 @@ def test_weighted_energy_matches_pairwise_oracle(r, equal):
     assert gap(res.robin, robin, PREC) <= mpf("1e-50")
 
 
+def test_weighted_energy_counts_the_weighted_support():
+    # delta_1 is refused however it is written: a zero-weight point changes
+    # nothing, as at the origin above
+    for points, weights in (((1,), (1,)), ((1, 2), (1, 0)), ((2, 1), (0, 1))):
+        with pytest.raises(InvalidParameter, match="2 weighted points"):
+            weighted_energy(DiscreteMeasure(points=points, weights=weights), 128)
+
+
+def _unfolded_energy(mu, precision_bits):
+    """weighted_energy before the conjugate fold: rows i < m - 1 over every
+    j > i, each pair once; the reference for the folded sum."""
+    prec = op_precision(precision_bits, *mu.points)
+    with workprec(prec + 16):
+        support, weights = zip(*((x, w) for x, w in zip(mu.points, mu.weights) if w))
+        xs, ys, e = gaussian_ints(support)
+        m = len(support)
+        rows = []
+        for i in range(m - 1):
+            row = _log_pair_sum(xs[i], ys[i], xs, ys, weights, range(i + 1, m), e, 0)
+            rows.append(-weights[i] * row)
+        field_sum = mp.fsum(
+            w * DEFAULT_FIELD.phi(x, precision_bits) for x, w in zip(support, weights)
+        )
+        energy = mp.fsum(rows) + 2 * field_sum
+        return EnergyResult(energy=energy, robin=energy - field_sum)
+
+
+def _count_pair_sums(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _log_pair_sum(*args)
+
+    monkeypatch.setattr(potential, "_log_pair_sum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("M", [16, 128, 512])
+@pytest.mark.parametrize("r", ["0", "1e-12", "0.3", "1"])
+def test_weighted_energy_folds_conjugate_orbits(monkeypatch, r, M):
+    mu = discretize_mu_r(ap_real(r, PREC), M, PREC)
+    calls = _count_pair_sums(monkeypatch)
+    folded = weighted_energy(mu, PREC)
+    # rows 0 .. M/2 - 1 and one call for the self-conjugate pairs
+    assert calls[0] == M // 2 + 1
+    unfolded = _unfolded_energy(mu, PREC)
+    if (r, M) != ("1e-12", 16):
+        assert folded == unfolded
+        return
+    # here the fold's roundings move the last bit of both values
+    bound = _fold_bound(mu, unfolded, PREC)
+    with workprec(PREC + 16):
+        assert 0 < abs(folded.energy - unfolded.energy) <= bound
+        assert 0 < abs(folded.robin - unfolded.robin) <= bound
+
+
+def _fold_bound(mu, res, precision_bits):
+    """weighted_energy's bound on |folded - unfolded|, energy and Robin
+    value: 2^(3 - P) (1 + lam + |I| + |F|)."""
+    P = op_precision(precision_bits, *mu.points) + 16
+    with workprec(64):
+        lam = max(
+            abs(mp.log(_sq_dist(x, y)))
+            for i, x in enumerate(mu.points)
+            for y in mu.points[i + 1 :]
+        )
+        return mpf(2) ** (3 - P) * (1 + lam + abs(res.energy) + abs(res.robin))
+
+
+def _random_mirrored(rng, m):
+    """m equal-weight points laid out as a LevelCurve's, at PREC bits."""
+    with workprec(PREC):
+        ends = [mpc(3 * mpf(rng.random()) - 1) for _ in range(2)]
+        inner = [
+            mpc(3 * mpf(rng.random()) - 1, 2 * mpf(rng.random()) + mpf("0.01"))
+            for _ in range(m // 2 - 1)
+        ]
+        half = [ends[0], *inner, ends[1]]
+        points = half + [z.conjugate() for z in reversed(half[1:-1])]
+        w = mpf(1) / m
+    return DiscreteMeasure(points=tuple(points), weights=(w,) * m)
+
+
+def test_weighted_energy_fold_within_its_bound(monkeypatch):
+    # near-cancelling energies of random mirrored supports: the fold's
+    # roundings can move the last bits, within the docstring's bound
+    rng = random.Random(7)
+    moved = 0
+    for _ in range(40):
+        mu = _random_mirrored(rng, rng.choice([8, 16, 32, 64]))
+        calls = _count_pair_sums(monkeypatch)
+        folded = weighted_energy(mu, PREC)
+        assert calls[0] == len(mu) // 2 + 1
+        unfolded = _unfolded_energy(mu, PREC)
+        bound = _fold_bound(mu, unfolded, PREC)
+        with workprec(PREC + 16):
+            assert abs(folded.energy - unfolded.energy) <= bound
+            assert abs(folded.robin - unfolded.robin) <= bound
+        moved += folded != unfolded
+    assert moved
+
+
+def test_weighted_energy_unfolded_out_of_curve_order(monkeypatch):
+    # a mirrored support in another order, or with unequal weights, runs
+    # every row; so does a graded measure, whose node 0 has weight 0
+    mu = discretize_mu_r(ap_real("0.3", PREC), 64, PREC)
+    order = list(range(64))
+    random.Random(3).shuffle(order)
+    shuffled = DiscreteMeasure(
+        points=tuple(mu.points[j] for j in order), weights=mu.weights
+    )
+    _, graded = graded_mu_r(ap_real("0.3", PREC), 64, PREC)
+    for case, rows in ((shuffled, 63), (graded, 62)):
+        calls = _count_pair_sums(monkeypatch)
+        assert weighted_energy(case, PREC) == _unfolded_energy(case, PREC)
+        assert calls[0] == rows
+    res = weighted_energy(shuffled, PREC)
+    with workprec(PREC + 16):
+        assert abs(res.energy - weighted_energy(mu, PREC).energy) <= _fold_bound(
+            mu, res, PREC
+        )
+
+
 def _greedy_log_leja(r, N, grid_M, precision_bits):
     """Weighted Leja points by greedy sums of logs: (points, robin estimate)."""
     grid = trace_level_curve(r, grid_M, precision_bits).points
@@ -443,6 +570,32 @@ def test_weighted_leja_unbounded_shadow_updates_every_node(monkeypatch):
     assert calls[0] == sum(grid_M - k for k in range(1, N + 1)) <= N * grid_M
     # each half node once; node M - j is the conjugate of node j
     assert sorted(built) == list(range(grid_M // 2 + 1))
+
+
+@pytest.mark.parametrize(
+    "r, N, grid_M, bits",
+    [
+        ("0", 24, 384, 128),
+        ("0.3", 24, 384, 128),
+        ("1", 24, 384, 128),
+        ("800", 8, 64, 192),
+    ],
+)
+def test_shadow_step_returns_the_candidates(monkeypatch, r, N, grid_M, bits):
+    # the one-pass filter must give _candidates' set over every live node
+    real = potential._shadow_step
+    sizes = []
+
+    def checked(c, live, *rest):
+        out = real(c, live, *rest)
+        F, E = rest[-2:]
+        assert out == potential._candidates(live, F, E)
+        sizes.append((len(out), len(live)))
+        return out
+
+    monkeypatch.setattr(potential, "_shadow_step", checked)
+    weighted_leja(ap_real(r, bits), N, grid_M, bits)
+    assert len(sizes) == N
 
 
 def test_leja_robin_gap():

@@ -688,3 +688,44 @@ def test_kappa_hat_is_the_starts_condition(kind, n, kappa):
             worst = k if worst is None else max(worst, k)
     assert worst <= got <= worst + 3
     assert abs(worst - kappa) < 2
+
+
+def test_close_arguments_are_resorted_by_the_full_key(monkeypatch):
+    # b's argument exceeds a's by about 2^-80: both round to the double 1.0,
+    # so only the full key orders them, a first although |a| > |b|
+    bits = 256
+    with workprec(bits):
+        a = 2 * mp.expj(1)
+        b = mp.expj(1) * mpc(1, mpf(2) ** -80)
+        c = mpc(-1, mpf("0.5"))
+    assert rootfinding._double_arg(a) == rootfinding._double_arg(b)
+    calls = [0]
+    full = rootfinding._sort_key
+
+    def counted(z):
+        calls[0] += 1
+        return full(z)
+
+    monkeypatch.setattr(rootfinding, "_sort_key", counted)
+    zs = find_roots(_monic_from_roots([b, c, a], bits), bits)
+    with workprec(bits + 16):
+        assert list(zs.zeros) == sorted(zs.zeros, key=full)
+        assert gap(zs.zeros[0], a, bits) <= mpf(2) ** -200
+        assert gap(zs.zeros[1], b, bits) <= mpf(2) ** -200
+    # the full key runs on the run of a and b only
+    assert calls[0] == 2
+    with workprec(bits + 16):
+        for zs in ((b, a, c), (a, c, b)):
+            rows = [(z, k, k) for k, z in enumerate(zs)]
+            expected = sorted(rows, key=lambda row: full(row[0]))
+            assert rootfinding._sorted_rows(rows) == expected
+
+
+def test_equal_full_keys_keep_their_order():
+    # a stable sort keeps rows with equal keys in order; so must the runs
+    with workprec(128):
+        z = mpc(1, 1)
+        rows = [(mpc(2), 0, 0), (z, 1, 1), (mpc(-1), 2, 2), (z, 3, 3), (mpc(1), 4, 4)]
+        expected = sorted(rows, key=lambda row: rootfinding._sort_key(row[0]))
+        assert rootfinding._sorted_rows(rows) == expected
+        assert [row[1] for row in expected] == [4, 0, 1, 3, 2]
