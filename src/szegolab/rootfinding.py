@@ -36,10 +36,13 @@ full starts: Gamma_(r_eff) crosses the real axis once on each side, so it
 has no seed for a second positive zero, and naive real seeds stall when
 many zeros are real.
 
-On the full rungs, with real coefficients, a root whose imaginary part is
-at most twice its residual and that has no other root within twice that
-imaginary part is returned as real (Im z = 0 exactly), so the order of real
-zeros does not hang on the sign of rounding noise.
+On the full rungs, with real coefficients, a root is returned as real
+(Im z = 0 exactly) where the certified radii prove a real root there: the
+m disks are pairwise disjoint, so each holds one root, the root's disk
+meets the real axis and its mirror image meets no other disk, so the root
+in it is its own conjugate (_snap_real).  A conjugate pair is never
+snapped.  So the order of real zeros does not hang on the sign of rounding
+noise, and no heuristic threshold decides which zeros are real.
 
 Fixed point.  The root finder runs on Python ints, not mpmath numbers,
 whose per-operation overhead dominates below about 1000 bits.  With
@@ -81,7 +84,7 @@ from math import atan2, isqrt
 from mpmath import mp, mpc, mpf
 
 from .errors import DegenerateParameter, InvalidParameter, NonConvergence
-from .fixed import cdiv, cmul, to_fixed, to_mpc
+from .fixed import cdiv, cmul, gaussian_ints, to_fixed, to_mpc
 from .laguerre import (
     CoeffList,
     LaguerreSpec,
@@ -437,22 +440,41 @@ def _polish(coeffs, roots, kappa=0, a=0):
 
 
 def _snap_real(coeffs, polished):
-    """Set Im z = 0 where |Im z| <= 2 residual and no other root lies within
-    2 |Im z|; the real point is polished again (_polish keeps it real).
+    """Set Im z = 0 on each zero whose disk holds a real root of the real
+    coeffs; that real point is polished again (_polish keeps it real).
 
-    Near a real zero the residual |p/p'| is about |z - zero| >= |Im z|, and
-    where Re p rounds to 0 the two agree up to rounding; the factor 2 keeps
-    that tie from deciding.  A conjugate pair is caught by the second test.
+    Row k is (z_k, residual, r_k), and the disk D_k = {|w - z_k| <= r_k}
+    holds a root of coeffs (_polish's radius).  If the m disks are pairwise
+    disjoint, each holds exactly one of the m roots.  Let D_k meet the real
+    axis while conj(D_k) meets no D_j, j != k, and let zeta be D_k's root.
+    The coefficients are real, so conj zeta is a root too; it lies in
+    conj(D_k), so in no D_j but D_k, whose only root is zeta: zeta is real.
+    It lies within r_k of z_k, so within r_k of Re z_k, where the zero is
+    polished again.  Every other zero is left as it is, a conjugate pair
+    among them: conj(D_k) meets the partner's disk.  Centres and radii are
+    read as Gaussian ints on one scale (fixed.gaussian_ints), so each
+    comparison is exact.  The O(m^2) disjointness test runs only when some
+    non-real disk meets the axis.  (MPSolve decides which roots are real
+    from isolated inclusion disks too: Bini & Fiorentino, Numer. Algorithms
+    23, 2000.)
     """
-    polished = list(polished)
-    for i, (z, res, _) in enumerate(polished):
-        y = abs(z.imag)
-        if y == 0 or y > 2 * res:
-            continue
-        if any(abs(z - w) <= 2 * y for j, (w, _, _) in enumerate(polished) if j != i):
-            continue
-        polished[i] = _polish(coeffs, [z.real])[0]
-    return polished
+    meets = [k for k, (z, _, r) in enumerate(polished) if z.imag and abs(z.imag) <= r]
+    if not meets or any(r == mp.inf for _, _, r in polished):
+        return polished
+    m = len(polished)
+    X, Y, _ = gaussian_ints([z for z, _, _ in polished] + [r for _, _, r in polished])
+
+    def apart(i, j, conj=False):  # D_i, or conj(D_i), and D_j are disjoint
+        dx, dy = X[i] - X[j], (-Y[i] if conj else Y[i]) - Y[j]
+        return dx * dx + dy * dy > (X[m + i] + X[m + j]) ** 2
+
+    if not all(apart(i, j) for i in range(m) for j in range(i)):
+        return polished
+    out = list(polished)
+    for k in meets:
+        if all(apart(k, j, True) for j in range(m) if j != k):
+            out[k] = _polish(coeffs, [polished[k][0].real])[0]
+    return out
 
 
 def _sort_key(z):

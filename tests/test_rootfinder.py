@@ -211,8 +211,8 @@ def _superexponential_alpha(n):
         (12, None, 1, ["pairs", "full"], None),
         (12, None, 2, ["pairs", "full", "full"], None),
         # Re p rounds to 0 at the real zero here, so its residual equals
-        # |Im z| up to rounding; a snap rule |Im z| <= residual left it
-        # complex.
+        # |Im z| up to rounding, and no rule that compares the two can tell
+        # it real; its isolated disk, which meets the axis, does.
         (9, "-9.5", 1, ["pairs", "full"], 160),
         (9, "-9.5", 2, ["pairs", "full", "full"], 168),
     ],
@@ -288,6 +288,13 @@ def test_limit_law_rung_skipped(n, alpha, start, runs, monkeypatch):
         (9, "-9.5"),  # alpha < -n: R+ = 0, R- = 1
         (12, "-12.25"),  # R+ = 0, R- = 0
         (12, None),  # superexponential: R+ = 1, R- = 1
+        # Many real zeros on full rungs, where Im z and the residual are
+        # both rounding noise after the full-width steps
+        (30, "0.5"),
+        (40, "0.5"),
+        (20, "10"),
+        (20, "-0.5"),
+        (60, "-30.5"),  # R+ = 30, R- = 0
     ],
 )
 def test_szego_real_zero_count(n, alpha):
@@ -296,6 +303,33 @@ def test_szego_real_zero_count(n, alpha):
     zs = contracted_zeros(n, alpha)
     real = [z.real for z in zs.zeros if z.imag == 0]
     assert (sum(x > 0 for x in real), sum(x < 0 for x in real)) == (pos, neg)
+
+
+def test_snap_real_reads_the_disks():
+    # Rows of (z - 1)(z - 2)(z - 3) from _polish, the first moved off the
+    # axis by hand.  Only a disk that meets the axis, is disjoint from the
+    # others and whose mirror image meets no other disk is snapped.
+    coeffs = [mpf(-6), mpf(11), mpf(-6), mpf(1)]
+    with workprec(128):
+        tol, eps = mpf(2) ** -64, mpf(2) ** -100
+        one, two, three = rootfinding._polish(coeffs, [mpc(1), mpc(2), mpc(3)])
+        res = one[1]
+        z, w = mpc(1, eps), 5 * eps / 8
+        leave = {
+            # both meet the axis and overlap; neither mirror image meets the other
+            "overlapping": [(z, res, 3 * eps / 2), (mpc(1 + 2 * eps, w), res, w), three],
+            "conjugate-pair": [(z, res, 2 * eps), (z.conjugate(), res, 2 * eps), three],
+            # disjoint disks, but the first one's mirror image holds the second's centre
+            "lopsided-pair": [(z, res, 3 * eps / 2), (z.conjugate(), res, eps / 4), three],
+            "uncertified": [(z, res, mp.inf), two, three],
+        }
+        for name, rows in leave.items():
+            assert rootfinding._snap_real(coeffs, rows) == rows, name
+        rows = [(z, res, 2 * eps), two, three]
+        snapped, *rest = rootfinding._snap_real(coeffs, rows)
+    assert rest == [two, three]
+    assert snapped[0].imag == 0 and abs(snapped[0] - z) <= 2 * eps
+    assert snapped[1] <= tol and snapped[2] < eps
 
 
 def test_unused_rungs_build_no_starts(monkeypatch):
@@ -495,6 +529,15 @@ def test_deflated_origin_roots_have_radius_zero():
     assert zs.radii[:2] == (0, 0) and all(0 < r < mpf(2) ** -100 for r in zs.radii[2:])
 
 
+def test_degree_one_closed_form():
+    # L_2^(-1)(2z) = 2z(z - 1): one origin root is deflated and the linear
+    # factor left is solved in closed form.
+    zs = contracted_zeros(2, -1)
+    assert zs.zeros == (0, 1) and zs.residuals == (0, 0)
+    assert zs.start == "closed-form" and zs.origin_multiplicity == 1
+    assert zs.radii[0] == 0 and 0 < zs.radii[1] < mp.inf
+
+
 def test_full_aberth_on_complex_coefficients():
     # Complex coefficients take the full rungs only, on the fixed-point kernel.
     roots = [mpc(complex(r)) for r in _COMPLEX_ROOTS]
@@ -539,6 +582,28 @@ def test_aberth_substitutes_a_zero_derivative():
         assert converged and roots[0] == 1
         for r in _cube_roots_of_unity():
             assert min(abs(z - r) for z in roots) <= mpf(2) ** -64
+
+
+def test_a_start_at_zero_sweeps_at_full_width(monkeypatch):
+    # z^3 - 1 started at 0, a and -a: |y| = 0 at the first start, so
+    # _condition gives no bound and _run_rung skips the narrow run, sweeping
+    # at the full width F from the starts.
+    coeffs = [mpf(-1), mpf(0), mpf(0), mpf(1)]
+    runs = _record_sweeps(monkeypatch)
+    with workprec(144):
+        F = mp.prec + rootfinding._FIXED_GUARD
+        s, b = rootfinding._fixed_coeffs(coeffs, F)
+        a = mpc("0.6", "0.3")
+        starts = [mpc(0), a, -a]
+        points = [(to_fixed(z.real, F - s), to_fixed(z.imag, F - s)) for z in starts]
+        assert rootfinding._condition(b, points, F) is None
+        tol = mpf(2) ** -72
+        rows, converged, sweeps, bits = rootfinding._run_rung(coeffs, starts, 0, tol)
+        for r in _cube_roots_of_unity():
+            assert min(abs(z - r) for z, _, _ in rows) <= mpf(2) ** -100
+    assert converged and (bits, sweeps) == (F, 5) and F == 152
+    assert runs == [(None, 5)]
+    assert max(res for _, res, _ in rows) <= tol
 
 
 def _record_sweeps(monkeypatch):
