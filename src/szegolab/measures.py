@@ -88,13 +88,6 @@ SINGULAR_DISTANCE = mpf("1e-30")
 _BLOCK = 64
 
 
-def _sq_dist(a, b) -> mpf:
-    """|a - b|^2 = dx^2 + dy^2, with no square root."""
-    d = a - b
-    dx, dy = d.real, d.imag
-    return dx * dx + dy * dy
-
-
 def _mirror_order(m):
     """0, 1, m - 1, 2, m - 2, ...: node j next to its mirror node m - j."""
     yield 0

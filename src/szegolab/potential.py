@@ -28,16 +28,18 @@ sums one pair of each such orbit, twice, and the self-conjugate pairs
 M^2/2 (derived in its docstring).  harmonic_moments and
 pullback_density run on szegolab.fixed ints too.  weighted_leja keeps
 omega^(2k) prod |z - z_j|^2 per grid node as an mpf product and takes a
-single log at the end.  It picks each greedy point through a
-double-precision shadow of the products' logs, whose running rounding-error
-bound, derived in the standard model, certifies which few nodes can win the
-step; one pass per step updates the shadow and finds those nodes.  The
-shadow reads the grid as doubles with certified radii
-(szego._shadow_half), so the grid is never traced: a node is evaluated at
-full precision only once it can win.  Only the candidates' products are
-brought up to date, lazily and in the order of an update of every node, so
-the points and the estimate are those of the full greedy rule to the last
-bit.
+single log at the end; each factor is applied by the same libmp calls on
+raw values that s * |g - z|^2 * w makes, in the same order and at the same
+roundings, without building an mpf or mpc object.  It picks each greedy
+point through a double-precision shadow of the products' logs, whose
+running rounding-error bound, derived in the standard model, certifies
+which few nodes can win the step; one pass per step updates the shadow and
+finds those nodes.  The shadow reads the grid as doubles with certified
+radii (szego._shadow_half), so the grid is never traced: a node is
+evaluated at full precision only once it can win.  Only the candidates'
+products are brought up to date, lazily and in the order of an update of
+every node, so the points and the estimate are those of the full greedy
+rule to the last bit.
 """
 
 from __future__ import annotations
@@ -46,12 +48,30 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
+from mpmath.libmp import (
+    fone,
+    from_int,
+    from_man_exp,
+    fzero,
+    mpc_abs,
+    mpf_add,
+    mpf_cos_sin,
+    mpf_div,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_sin,
+    mpf_sub,
+    mpf_sum,
+    round_nearest,
+)
 from mpmath.libmp.libelefun import pi_fixed
 
 from .errors import InvalidParameter, InvalidTestPoint
 from .fixed import cmul, gaussian_ints, to_fixed, to_mpc
-from .measures import DiscreteMeasure, _log_pair_sum, _sq_dist, log_potential
+from .measures import DiscreteMeasure, _log_pair_sum, log_potential
 from .precision import op_precision, workprec
 from .szego import (
     _SHADOW_U,
@@ -81,10 +101,8 @@ class ExternalField:
     """
 
     def phi(self, z, precision_bits: int = 128) -> mpf:
-        prec = op_precision(precision_bits, z)
-        with workprec(prec):
-            zc = mpc(z)
-            return (mp.log(abs(zc)) + mp.re(zc)) / 2
+        with workprec(op_precision(precision_bits, z)):
+            return mp.make_mpf(_phi_ext(mpc(z)._mpc_, precision_bits))
 
     def omega(self, z, precision_bits: int = 128) -> mpf:
         prec = op_precision(precision_bits, z)
@@ -93,6 +111,15 @@ class ExternalField:
 
 
 DEFAULT_FIELD = ExternalField()
+
+
+def _phi_ext(z, precision_bits):
+    """DEFAULT_FIELD.phi(z, precision_bits) of the raw mpc z as a raw mpf:
+    (log|z| + Re z) / 2 at op_precision(precision_bits, z), each step
+    rounded to nearest as mpmath's abs, log, + and / 2 round it."""
+    prec, rnd = max(precision_bits, z[0][3], z[1][3]), round_nearest
+    t = mpf_add(mpf_log(mpc_abs(z, prec, rnd), prec, rnd), z[0], prec, rnd)
+    return mpf_div(t, from_int(2), prec, rnd)
 
 
 @dataclass(frozen=True)
@@ -162,9 +189,19 @@ def graded_mu_r(
     r = _check_r(r)
     check_node_count(M)
     with workprec(op_precision(precision_bits, r) + 16):
-        grid = [_theta(j, M) for j in range(M)]
-        thetas = tuple(s - mp.sin(s) for s in grid)
-        half = [(1 - mp.cos(s)) / M for s in grid[: M // 2 + 1]]
+        # s - mp.sin(s) and (1 - mp.cos(s)) / M, rounded as those round
+        prec, rnd, m = mp.prec, round_nearest, from_int(M)
+        thetas, half = [], []
+        for j in range(M):
+            s = _theta(j, M)._mpf_
+            if j <= M // 2:
+                c, sin = mpf_cos_sin(s, prec, rnd)
+                w = mpf_div(mpf_sub(fone, c, prec, rnd), m, prec, rnd)
+                half.append(mp.make_mpf(w))
+            else:
+                sin = mpf_sin(s, prec, rnd)
+            thetas.append(mp.make_mpf(mpf_sub(s, sin, prec, rnd)))
+        thetas = tuple(thetas)
         weights = tuple(half + half[-2:0:-1])
     curve = _mirrored_curve(r, thetas, precision_bits)
     mu = DiscreteMeasure(
@@ -410,10 +447,15 @@ def weighted_energy(mu: DiscreteMeasure, precision_bits: int = 128) -> EnergyRes
         ]
         if any(row is None for _, _, row in sums):
             raise InvalidParameter("coincident support points give infinite energy")
-        field_sum = mp.fsum(
-            c * (weights[j] * DEFAULT_FIELD.phi(support[j], precision_bits))
-            for j, c in nodes
-        )
+        # mp.fsum of c * (w_j * DEFAULT_FIELD.phi(x_j)), by the same calls
+        prec, rnd = mp.prec, round_nearest
+        terms = []
+        for j, c in nodes:
+            x = support[j]
+            x = x._mpc_ if isinstance(x, mpc) else (x._mpf_, fzero)
+            t = mpf_mul(weights[j]._mpf_, _phi_ext(x, precision_bits), prec, rnd)
+            terms.append(mpf_mul_int(t, c, prec, rnd))
+        field_sum = mp.make_mpf(mpf_sum(terms, prec, rnd))
         energy = mp.fsum(-c * (weights[i] * row) for c, i, row in sums) + 2 * field_sum
         return EnergyResult(energy=energy, robin=energy - field_sum)
 
@@ -546,6 +588,17 @@ def _field_shadow(zs, rads, s) -> tuple:
     return lw, dlw
 
 
+def _sq_dist(a, b, prec):
+    """|a - b|^2 = dx^2 + dy^2 of the raw mpc a and b, with no square root,
+    as a raw mpf: the differences, the squares and their sum each rounded
+    to nearest at prec bits, as a - b, dx * dx + dy * dy round them."""
+    rnd = round_nearest
+    dx = mpf_sub(a[0], b[0], prec, rnd)
+    dy = mpf_sub(a[1], b[1], prec, rnd)
+    dx2, dy2 = mpf_mul(dx, dx, prec, rnd), mpf_mul(dy, dy, prec, rnd)
+    return mpf_add(dx2, dy2, prec, rnd)
+
+
 def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResult:
     """Greedy weighted Leja points on Gamma_r.
 
@@ -559,11 +612,12 @@ def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResu
     win: only those with F_i + E_i >= max_j (F_j - E_j).  The shadow is built
     from double nodes with certified radii (szego._shadow_half), so the grid
     is never traced: a node and its omega2_i are evaluated at full precision
-    only when it first becomes a candidate, by the same mpf operations as
-    trace_level_curve's.  Its S_i is brought up to date lazily, by the same
-    mpf operations in the same order as an update of every node at every
-    step, so points, sup_norm and robin_estimate are those of that eager
-    rule to the last bit.  About one node per step is updated instead of
+    only when it first becomes a candidate, by the same libmp calls on raw
+    values as trace_level_curve's node and mp.exp(-2 DEFAULT_FIELD.phi(g)).
+    Its S_i is brought up to date lazily, by the same libmp calls on raw
+    values in the same order as an update of every node at every step, so
+    points, sup_norm and robin_estimate are those of that eager rule to the
+    last bit.  About one node per step is updated instead of
     grid_M, and about one node in eight is ever evaluated.  The final max
     over S_i / omega2_i is taken the same way.
     """
@@ -591,24 +645,30 @@ def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResu
         live = list(range(grid_M))
         chosen = []
 
+        P, rnd = mp.prec, round_nearest
+
         def load(i):
-            # omega2 = e^L, L = -2 phi_ext; |conj g| and Re g are exact, so
-            # node M - j repeats node j's omega2 to the last bit.
+            # omega2 = e^L, L = -2 phi_ext: mp.exp(-2 * DEFAULT_FIELD.phi(g))
+            # by the same calls.  |conj g| and Re g are exact, so node M - j
+            # repeats node j's omega2 to the last bit.
             j = min(i, grid_M - i)
             if grid[j] is None:
-                g = _half_node(r, j, grid_M, _theta(j, grid_M), crossings, mag)
+                theta = _theta(j, grid_M)
+                g = _half_node(r, j, grid_M, theta, crossings, mag)._mpc_
                 grid[j] = g
-                omega2[j] = S[j] = mp.exp(-2 * DEFAULT_FIELD.phi(g, precision_bits))
+                L = mpf_mul_int(_phi_ext(g, precision_bits), -2, P, rnd)
+                omega2[j] = S[j] = mpf_exp(L, P, rnd)
             if grid[i] is None:
-                grid[i] = grid[j].conjugate()
+                grid[i] = (grid[j][0], mpf_neg(grid[j][1]))
                 omega2[i] = S[i] = omega2[j]
 
         def exact(i):
             # S_i after every chosen point, factors applied in the eager order
+            # and rounded as s * |g - z|^2 * w rounds them
             load(i)
             s, g, w = S[i], grid[i], omega2[i]
             for z in chosen[done[i] :]:
-                s = s * _sq_dist(g, z) * w
+                s = mpf_mul(mpf_mul(s, _sq_dist(g, z, P), P, rnd), w, P, rnd)
             S[i], done[i] = s, len(chosen)
             return s
 
@@ -617,7 +677,7 @@ def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResu
         for _ in range(N):
             # max keeps the first of equal keys, and candidates are in
             # index order: conjugate nodes tie after a real point.
-            best_i = max(cands, key=exact)
+            best_i = max(cands, key=lambda i: mp.make_mpf(exact(i)))
             chosen.append(grid[best_i])
             live.remove(best_i)
             cands = _shadow_step(best_i, live, xs, ys, rads, lw, de, F, E)
@@ -629,11 +689,14 @@ def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResu
             e + d + _SHADOW_U * (3 * abs(w) + 3 * abs(g) + 2)
             for e, d, w, g in zip(E, dlw, lw, G)
         ]
-        best = max(exact(i) / omega2[i] for i in _candidates(live, G, EG))
+        best = max(
+            mp.make_mpf(mpf_div(exact(i), omega2[i], P, rnd))
+            for i in _candidates(live, G, EG)
+        )
         sup_norm = mp.sqrt(best)
         robin_estimate = -mp.log(best) / (2 * N)
         measure = DiscreteMeasure(
-            points=tuple(chosen),
+            points=tuple(mp.make_mpc(z) for z in chosen),
             weights=(mpf(1) / N,) * N,
             label=f"leja(r={mp.nstr(r, 10)}, N={N})",
         )

@@ -83,7 +83,7 @@ from math import atan2, isqrt
 
 from mpmath import mp, mpc, mpf
 
-from .errors import DegenerateParameter, InvalidParameter, NonConvergence
+from .errors import InvalidParameter, NonConvergence
 from .fixed import cdiv, cmul, gaussian_ints, to_fixed, to_mpc
 from .laguerre import (
     CoeffList,
@@ -173,18 +173,16 @@ def _angles(count, turns):
 
 
 def _limit_law_starts(spec, m, counts=None):
-    """(starts, npairs) on Gamma_(r_eff), or None when alpha is degenerate
-    or outside the paper's regime (r_eff < 0).
+    """(starts, npairs) on Gamma_(r_eff), or None outside the paper's regime
+    (r_eff < 0).  find_roots passes a spec only when no root lies at 0, so
+    alpha is not degenerate: alpha in S_n makes L_n^(alpha)(n z) vanish at 0.
 
     Without counts, m seeds at theta_k = 2 pi (k + 1/2) / m and npairs = 0.
     With counts = (R+, R-), both at most 1, a conjugate-pair run: P =
     (m - R+ - R-)/2 upper seeds at theta_k = pi (k + 1/2) / P, then R+
     copies of the real crossing x0 and R- of x_neg, and npairs = P.
     """
-    try:
-        r_eff = param_decomposition(spec.n, spec.alpha).r_eff
-    except DegenerateParameter:
-        return None
+    r_eff = param_decomposition(spec.n, spec.alpha).r_eff
     if r_eff < 0:
         return None
     with workprec(_SEED_BITS):

@@ -19,10 +19,16 @@ on a power-of-two grid (szegolab.fixed) instead of mpc numbers, whose
 per-operation overhead costs more than their bits at these lengths.  Only
 its last steps run at full width, with one full-width exp per node; each
 node's argument is mp.exp's to the last bit, with e^(-1-r) computed once
-per curve.
+per curve.  Around the ints, the values are raw libmp ones: the argument,
+e x + 1, mag, the seed's double (rounded to nearest, as complex() rounds
+an mpc) and the result come from libmp calls at the ambient precision,
+rounded to nearest as mpmath's operators round them, so a node builds one
+mpc, its output, and each equals the node mpc arithmetic gives.  _theta
+and graded_mu_r's angles and weights are libmp calls in the same way.
 _max_residual checks the rounded nodes on the same ints.  _shadow_half
 gives every equispaced node as a double, with a radius certified by
-Kantorovich's theorem to reach the full-precision node.
+Kantorovich's theorem to reach the full-precision node; each double is
+seeded by the one before it.
 """
 
 from __future__ import annotations
@@ -34,10 +40,28 @@ from dataclasses import dataclass
 from math import isqrt
 
 from mpmath import fp, mp, mpc, mpf
-from mpmath.libmp import mpf_cos_sin, mpf_exp, mpf_mul, mpf_neg, mpf_pos, round_nearest
+from mpmath.libmp import (
+    fnone,
+    fone,
+    from_int,
+    from_man_exp,
+    fzero,
+    mpf_add,
+    mpf_cos_sin,
+    mpf_div,
+    mpf_e,
+    mpf_exp,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pi,
+    mpf_pos,
+    round_nearest,
+    to_float,
+)
 
 from .errors import InvalidParameter, NonConvergence
-from .fixed import cdiv, cexp, cmul, to_fixed, to_mpc
+from .fixed import _shift, cdiv, cexp, cmul, to_fixed, to_mpc
 from .precision import as_real, op_precision, workprec
 
 DEFAULT_TRACE_PRECISION = 192
@@ -124,10 +148,10 @@ def real_crossings(r, precision_bits: int = DEFAULT_TRACE_PRECISION):
     """
     r = _check_r(r)
     with workprec(op_precision(precision_bits, r) + 16):
-        x = mp.exp(-1 - r)
-        w = _w0(-x) if r else mpc(-1)
-        x0 = mpf(1) if w.imag else -w.real
-        return x0, -_w0(x).real
+        x = mp.exp(-1 - r)._mpf_
+        w = _w0(mpf_neg(x), fzero) if r else (fnone, fzero)
+        x0 = mpf(1) if w[1] != fzero else mp.make_mpf(mpf_neg(w[0]))
+        return x0, mp.make_mpf(mpf_neg(_w0(x, fzero)[0]))
 
 
 def check_node_count(M) -> None:
@@ -136,15 +160,25 @@ def check_node_count(M) -> None:
         raise InvalidParameter(f"need even node count M >= 16, got {M}")
 
 
-def _w0(x):
+def _mag(re, im):
+    """mp.mag of the complex number with raw parts re and im, not both 0."""
+    if re == fzero:
+        return im[2] + im[3]
+    if im == fzero:
+        return re[2] + re[3]
+    return 1 + max(re[2] + re[3], im[2] + im[3])
+
+
+def _w0(re, im):
     """W_0(x) for |x| <= 1/e at the ambient precision prec, by Halley's
-    iteration on Python ints.
+    iteration on Python ints; x and W_0(x) are raw mpf pairs (re, im).
 
     The iteration and its stop rule mag(w_new - w) <= mag(w_new) -
     (prec + 15), mag read from the larger part, are mpmath's lambertw's; the
     seed is better.  Away from the
     branch point -1/e it is the double fp.lambertw(x), good to about 1e-16,
-    where lambertw's own seed takes about six full-width steps at 208 bits.
+    where lambertw's own seed takes about six full-width steps at 208 bits;
+    x goes to it rounded to nearest, as complex() rounds an mpc.
     Where e x + 1 cancels c > _BRANCH_BITS bits, the seed is the branch
     series -1 + p - p^2/3 + 11 p^3/72, p = sqrt(2 (e x + 1)) (Corless et al.
     1996), and as in lambertw the precision rises by c/2 bits, or the
@@ -153,7 +187,9 @@ def _w0(x):
     and where x lies a few ulps from -1/e its sign can be wrong, so that a
     real x beyond -1/e gets a real seed for its complex W_0, which the
     exactly real steps never reach.  Where e x + 1 rounds to 0, x is the
-    branch point and W_0(x) = -1.  Raises
+    branch point and W_0(x) = -1.  e x + 1 and mag are read from the raw
+    parts with libmp's calls and roundings of mp.e * x + 1 and mp.mag, e
+    rounded to nearest.  Raises
     NonConvergence after _W0_MAX_ITER steps, where lambertw only warns.
 
     With k = mag(x) the steps solve v e^(2^k v) = x / 2^k for v = w / 2^k,
@@ -177,19 +213,23 @@ def _w0(x):
     real x stays exactly real.
     """
     prec = mp.prec
-    d = mp.e * x + 1
-    if not d:
-        return mpc(-1)
-    cancel = max(0, -mp.mag(d))
+    rnd = round_nearest
+    e = mpf_e(prec, rnd)
+    dr = mpf_add(mpf_mul(re, e, prec, rnd), fone, prec, rnd)
+    di = mpf_mul(im, e, prec, rnd)
+    if dr == fzero and di == fzero:
+        return fnone, fzero
+    cancel = max(0, -_mag(dr, di))
     F = prec + 28 + cancel // 2
-    k = mp.mag(x)
+    k = _mag(re, im)
     grids = [F]
     if cancel > _BRANCH_BITS:
+        x = mp.make_mpc((re, im))
         with workprec(F):
             p = mp.sqrt(2 * (mp.e * x + 1))
             w = -1 + p * (1 + p * (mpf(-1) / 3 + p * mpf(11) / 72))
     else:
-        w = fp.lambertw(complex(x))
+        w = fp.lambertw(complex(to_float(re, rnd=rnd), to_float(im, rnd=rnd)))
         lost = 32 + cancel // 2
         while (grids[-1] - lost) // 3 > 50 - cancel:
             grids.append((grids[-1] - lost) // 3 + lost)
@@ -198,12 +238,12 @@ def _w0(x):
     for H in reversed(grids[1:]):
         vr, vi = vr << (H - G), vi << (H - G)
         G = H
-        xr, xi = to_fixed(x.real, G - k), to_fixed(x.imag, G - k)
+        xr, xi = _shift(re, G - k), _shift(im, G - k)
         er, ei = cexp(vr >> -k, vi >> -k, G)
         hr, hi = _halley(vr, vi, er, ei, xr, xi, k, G)
         vr, vi = vr - hr, vi - hi
     vr, vi = vr << (F - G), vi << (F - G)
-    xr, xi = to_fixed(x.real, F - k), to_fixed(x.imag, F - k)
+    xr, xi = _shift(re, F - k), _shift(im, F - k)
     wr, wi = vr >> -k, vi >> -k
     er, ei = cexp(wr, wi, F)
     for _ in range(_W0_MAX_ITER):
@@ -211,12 +251,16 @@ def _w0(x):
         vr, vi = vr - hr, vi - hi
         step, size = max(abs(hr), abs(hi)), max(abs(vr), abs(vi))
         if step.bit_length() <= size.bit_length() - (prec + 15):
-            return to_mpc(vr, vi, F - k)
+            return (
+                from_man_exp(vr, k - F, prec, rnd),
+                from_man_exp(vi, k - F, prec, rnd),
+            )
         nr, ni = vr >> -k, vi >> -k
         er, ei = _exp_step(er, ei, wr, wi, nr, ni, F)
         wr, wi = nr, ni
     raise NonConvergence(
-        f"W_0 Halley iteration hit {_W0_MAX_ITER} steps at x = {x}",
+        f"W_0 Halley iteration hit {_W0_MAX_ITER} steps"
+        f" at x = {mp.make_mpc((re, im))}",
         best=to_mpc(vr, vi, F - k),
     )
 
@@ -265,19 +309,20 @@ def _modulus(r):
 
 
 def _argument(r, theta, mag):
-    """-mp.exp(-1 - r + i theta) to the last bit, from mag = _modulus(r).
+    """-mp.exp(-1 - r + i theta) to the last bit, as a raw mpf pair, from
+    mag = _modulus(r).
 
     mpc_exp multiplies mag by mpf_cos_sin of theta, rounded to the ambient
     precision prec, at prec + 4 bits, and rounds each product to prec; at
     theta = 0 it is mp.exp(-1 - r).
     """
     if not theta:
-        return -mp.exp(-1 - r + 1j * theta)
+        return (-mp.exp(-1 - r + 1j * theta))._mpc_
     prec = mp.prec
     t = mpf_pos(theta._mpf_, prec, round_nearest)  # as 1j * theta rounds it
     c, s = mpf_cos_sin(t, prec + 4, round_nearest)
     re, im = mpf_mul(mag, c, prec, round_nearest), mpf_mul(mag, s, prec, round_nearest)
-    return mp.make_mpc((mpf_neg(re), mpf_neg(im)))
+    return mpf_neg(re), mpf_neg(im)
 
 
 def _curve_point(r, theta, mag):
@@ -289,7 +334,8 @@ def _curve_point(r, theta, mag):
     # mpc_exp on about 3 % of nodes.
     if not r and not theta:
         return mpc(1)
-    return -_w0(_argument(r, theta, mag))
+    re, im = _w0(*_argument(r, theta, mag))
+    return mp.make_mpc((mpf_neg(re), mpf_neg(im)))
 
 
 # The double shadow of the equispaced nodes.  Node j of trace_level_curve is
@@ -328,30 +374,38 @@ def _ldexp(z, k):
     return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
 
 
-def _w0_double(x, k, dx):
-    """W_0(2^k x) / 2^k in doubles, and a radius certified to reach it.
+def _w0_double(x, k, dx, v):
+    """W_0(2^k x) / 2^k in doubles, from a seed v near it, and a radius
+    certified to reach it.
 
     Returns (v, R) with |v - W_0(2^k y) / 2^k| <= R for every y within dx
-    of x.  v is fp.lambertw polished by one double Halley step on
+    of x.  v is the seed polished by double Halley steps on
     f(v) = v e^(2^k v) - x, where f' = e^(2^k v) (1 + 2^k v) and
-    f'' = 2^k e^(2^k v) (2 + 2^k v).  Kantorovich's theorem for y: with
+    f'' = 2^k e^(2^k v) (2 + 2^k v), until a step h has |h|^3 <= u |v|^3:
+    Halley's error cubes, so the next step would move v by about u |v|.  At
+    most _W0_MAX_ITER steps are taken.  R is taken at the last v, whatever
+    the seed.  Kantorovich's theorem for y: with
     eta >= |f(v) / f'(v)| and L >= |f''| on the disc |w - v| <= 2 eta, a
     root lies within 2 eta of v once |f'(v)|^-1 L eta <= 1/2.  The computed
     e^(2^k v) errs by 5.001 u relative, the product v e^(2^k v) by 4 u |v e|
     more, and the residual's subtraction and abs by 3.001 u |res|; y adds
     dx; |f'(v)| is within 13 u of its double.  The factors 1 + 32 u and
     1 + 8 u and the test 4 L eta <= |f'(v)| cover the rounding of eta, L and
-    the test.  The
-    disc is far smaller than the distance, about 2 |1 + w| near -1/e and
-    more elsewhere, to any other branch's root, so the root is W_0's, which
-    fp.lambertw seeds.  R is inf where the test fails.
+    the test.  That root is W_0's once the disc, scaled by 2^k, lies in the
+    open unit disk, tested as |2^k v| + 2^(k+1) eta < 1 - 4 u: W_0's range
+    holds every a + i b with |b| < pi and a > -b cot b, and b cot b >=
+    sqrt(1 - b^2) for |b| < 1 (as b^2 >= sin^2 b), so it holds the unit
+    disk.  R is inf where a test fails.
     """
-    v = _ldexp(complex(fp.lambertw(_ldexp(x, k))), -k)
-    sv = _ldexp(v, k)
-    e = cmath.exp(sv)
-    f = v * e - x
-    d = 1 + sv
-    v -= f / (e * d - (2 + sv) * _ldexp(f, k) / (2 * d))
+    for _ in range(_W0_MAX_ITER):
+        sv = _ldexp(v, k)
+        e = cmath.exp(sv)
+        f = v * e - x
+        d = 1 + sv
+        h = f / (e * d - (2 + sv) * _ldexp(f, k) / (2 * d))
+        v -= h
+        if abs(h) ** 3 <= _SHADOW_U * abs(v) ** 3:
+            break
     sv = _ldexp(v, k)
     ea = math.exp(sv.real)
     e = complex(ea * math.cos(sv.imag), ea * math.sin(sv.imag))
@@ -368,6 +422,8 @@ def _w0_double(x, k, dx):
     )
     if not 4 * lip * eta <= d1:
         return v, math.inf
+    if not abs(sv) + math.ldexp(2 * eta, k) < 1 - 4 * u:
+        return v, math.inf
     return v, 2 * eta
 
 
@@ -378,6 +434,8 @@ def _shadow_half(r, M, crossings, precision_bits):
     |zs[j] - node_j / 2^k| <= rads[j] (derived above _SHADOW_U), where
     2^k <= e^(-1-r) < 2^(k+1) and crossings = real_crossings(r,
     precision_bits).  Where r is too large for the bound, a radius is inf.
+    Node 1 is seeded by fp.lambertw, and each later node by the one before
+    it, an angle 2 pi / M away: two or three Halley steps polish it.
     """
     with workprec(op_precision(precision_bits, r) + 16):
         mant, k = mp.frexp(mp.exp(-1 - r))
@@ -385,6 +443,7 @@ def _shadow_half(r, M, crossings, precision_bits):
     k -= 1
     a = float(2 * mant)
     zs, rads = [], []
+    v = None
     for j in range(M // 2 + 1):
         if j in (0, M // 2):
             z = complex(float(mp.ldexp(crossings[2 * j // M], -k)))
@@ -394,7 +453,9 @@ def _shadow_half(r, M, crossings, precision_bits):
         theta = 2 * math.pi * j / M
         x = complex(-a * math.cos(theta), -a * math.sin(theta))
         dx = (_SHADOW_U * (4 * theta + 5) + rel) * abs(x)
-        v, rad = _w0_double(x, k, dx)
+        if v is None:
+            v = _ldexp(complex(fp.lambertw(_ldexp(x, k))), -k)
+        v, rad = _w0_double(x, k, dx, v)
         zs.append(-v)
         rads.append(rad + _SHADOW_U * abs(v))
     return k, zs, rads
@@ -416,8 +477,13 @@ def curve_point(r, theta, precision_bits: int = DEFAULT_TRACE_PRECISION) -> mpc:
 
 
 def _theta(j, M):
-    # theta_j = 2 pi j / M of trace_level_curve, at the ambient precision.
-    return 2 * mp.pi * j / M
+    # theta_j = 2 pi j / M of trace_level_curve, at the ambient precision,
+    # rounded as 2 * mp.pi * j / M rounds it: pi to nearest, then each
+    # product and the quotient.
+    prec = mp.prec
+    t = mpf_mul_int(mpf_pi(prec, round_nearest), 2, prec, round_nearest)
+    t = mpf_mul_int(t, j, prec, round_nearest)
+    return mp.make_mpf(mpf_div(t, from_int(M), prec, round_nearest))
 
 
 def _half_node(r, j, M, theta, crossings, mag):
@@ -484,7 +550,8 @@ def _max_residual(r, nodes):
     a = to_fixed(a, F)
     worst = 0
     for z in nodes:
-        x, y = to_fixed(z.real, F - k), to_fixed(z.imag, F - k)
+        re, im = z._mpc_
+        x, y = _shift(re, F - k), _shift(im, F - k)
         size = (isqrt(x * x + y * y) * cexp(-(x >> -k), 0, F)[0]) >> F
         worst = max(worst, abs(size - a))
     return mp.e * mp.ldexp(worst, k - F)

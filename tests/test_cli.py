@@ -378,3 +378,17 @@ def test_subcommand_flag_set(command, capsys):
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
               if line.lstrip().startswith("--")]
     assert listed == FLAGS[command].split() + ["--precision", "--config"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["verify", "--suite", "robin", "--r", "0.3", "--nodes", "256"], ["energy", "leja-robin"]),
+    (["verify", "--suite", "balayage", "--r", "0.3", "--nodes", "256"],
+     ["origin", "interior", "exterior", "field"]),
+])
+def test_verify_suites_run_to_their_checks(argv, names, capsys):
+    # robin: the energy at M = 256 and 128 Leja points on a 2048-node grid;
+    # balayage: the graded measure at M = 256.  Every check runs and passes.
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"PASS {n}" for n in names]
+    assert lines[-1] == f"{len(names)}/{len(names)} checks passed"

@@ -8,7 +8,7 @@ from mpmath import mp, mpc, mpf
 from szegolab.cli import suite_lemma1
 from szegolab.errors import InvalidParameter, InvalidTestPoint, SingularEvaluation
 from szegolab import potential
-from szegolab.measures import DiscreteMeasure, _log_pair_sum, _sq_dist, log_potential
+from szegolab.measures import DiscreteMeasure, _log_pair_sum, log_potential
 from szegolab.potential import (
     DEFAULT_FIELD,
     EnergyResult,
@@ -379,6 +379,14 @@ def test_weighted_energy_folds_conjugate_orbits(monkeypatch, r, M):
         assert 0 < abs(folded.robin - unfolded.robin) <= bound
 
 
+def _sq_dist(a, b):
+    """|a - b|^2 = dx^2 + dy^2 by mpc and mpf operators: the rounding
+    potential._sq_dist must give on raw values."""
+    d = a - b
+    dx, dy = d.real, d.imag
+    return dx * dx + dy * dy
+
+
 def _fold_bound(mu, res, precision_bits):
     """weighted_energy's bound on |folded - unfolded|, energy and Robin
     value: 2^(3 - P) (1 + lam + |I| + |F|)."""
@@ -505,10 +513,11 @@ def _leja_triple(result):
 
 def _count_sq_dist(monkeypatch):
     calls = [0]
+    real = potential._sq_dist
 
-    def counted(a, b):
+    def counted(a, b, prec):
         calls[0] += 1
-        return _sq_dist(a, b)
+        return real(a, b, prec)
 
     monkeypatch.setattr(potential, "_sq_dist", counted)
     return calls

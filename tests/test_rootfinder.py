@@ -794,3 +794,40 @@ def test_equal_full_keys_keep_their_order():
         expected = sorted(rows, key=lambda row: rootfinding._sort_key(row[0]))
         assert rootfinding._sorted_rows(rows) == expected
         assert [row[1] for row in expected] == [4, 0, 1, 3, 2]
+
+
+def test_aberth_denominator_zero_takes_a_newton_step():
+    # p = z^2 - z/2 - 1/2 = (z - 1)(z + 1/2) from the starts 0 and -1: at 0,
+    # p = p' = -1/2 and S = 1/(0 - (-1)) = 1 are exact ints, so p' - p S is
+    # exactly 0.  The step falls back to p / p', or the division by zero
+    # raises; the run still converges to the roots.
+    with workprec(128):
+        coeffs = [mpf(-1) / 2, mpf(-1) / 2, mpf(1)]
+        roots, converged, _ = rootfinding._sweeps(
+            coeffs, [mpc(0), mpc(-1)], 0, mpf(2) ** -60
+        )
+        assert converged
+        low, high = sorted(roots, key=lambda z: z.real)
+        assert abs(low + mpf(1) / 2) <= mpf(2) ** -60 and abs(high - 1) <= mpf(2) ** -60
+
+
+def test_polish_where_the_derivative_is_zero():
+    # p' = 0 exactly at the point: no Newton step is taken, and the residual
+    # |p / p'| is inf where p != 0 and 0 where p = 0; no radius is certified.
+    with workprec(128):
+        assert rootfinding._polish([mpf(-1) / 4, mpf(0), mpf(1)], [mpc(0)]) == [
+            (mpc(0), mp.inf, mp.inf)
+        ]
+        assert rootfinding._polish([mpf(1), mpf(-2), mpf(1)], [mpc(1)]) == [
+            (mpc(1), mpf(0), mp.inf)
+        ]
+
+
+def test_double_arg_of_zero():
+    assert rootfinding._double_arg(mpc(0)) == 0.0
+
+
+def test_counting_measure_of_a_bare_coefficient_list():
+    zs = find_roots(_coeff_list(-1, 0, 1), 128)
+    assert zs.spec is None
+    assert counting_measure(zs).label == "nu(p_2)"

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import fzero
 
 from szegolab import szego
 from szegolab.errors import InvalidParameter, NonConvergence
@@ -59,7 +60,7 @@ def test_w0_beyond_the_branch_point_by_a_few_ulps(bits):
     r = mpf(2) ** -(bits + 30)
     with workprec(op_precision(bits, r) + 16):
         ref = mp.lambertw(-mp.exp(-1 - r))
-        w = szego._w0(-mp.exp(-1 - r))
+        w = mp.make_mpc(szego._w0((-mp.exp(-1 - r))._mpf_, fzero))
         assert w.imag > 0 and gap(w, ref, mp.prec) <= mpf(2) ** -(bits // 2)
     assert real_crossings(r, bits)[0] == 1
 
@@ -332,7 +333,7 @@ def test_node_argument_is_mp_exp_to_the_last_bit(r, bits):
         thetas = grid + [s - mp.sin(s) for s in grid] + [mpf("1e-30"), wide]
         for theta in thetas:
             x = szego._argument(r, theta, mag)
-            assert x._mpc_ == (-mp.exp(-1 - r + 1j * theta))._mpc_, theta
+            assert x == (-mp.exp(-1 - r + 1j * theta))._mpc_, theta
 
 
 @pytest.mark.parametrize(
@@ -452,3 +453,64 @@ def test_level_curve_rejects_unmirrored_nodes():
         LevelCurve(mpf(1), asymmetric, curve.level, curve.max_residual, PREC)
     with pytest.raises(InvalidParameter):
         LevelCurve(mpf(1), curve.samples[:-1], curve.level, curve.max_residual, PREC)
+
+
+@pytest.mark.parametrize(
+    "r, bits",
+    [("0", PREC), ("1e-12", PREC), ("0.3", PREC), ("30", PREC), ("800", PREC),
+     ("0.107", 512), ("22.7", 512), ("1e-200", 512)],
+)
+def test_one_node_per_angle_from_every_builder(r, bits, monkeypatch):
+    # Node j of trace_level_curve, _half_node at _theta(j, M) and
+    # curve_point at theta_j = 2 * mp.pi * j / M, by mpf operators, must
+    # agree to the last bit, and theta_j too.  A part far below |z|, such as
+    # Re z at r = 30, theta = pi/2, is held only to about 2^-F |z|, so its
+    # last bits follow the seed of the Halley iteration: each inner node
+    # must be seeded by fp.lambertw of its own argument, rounded to nearest
+    # as complex() rounds an mpc, and not by a neighbouring node.
+    M = 64
+    r = ap_real(r, bits)
+    seeds = []
+    lambertw = szego.fp.lambertw
+
+    def recorded(x):
+        seeds.append(x)
+        return lambertw(x)
+
+    monkeypatch.setattr(szego.fp, "lambertw", recorded)
+    curve = trace_level_curve(r, M, bits)
+    traced = list(seeds)
+    crossings = real_crossings(r, bits)
+    args = []
+    with workprec(op_precision(bits, r) + 16):
+        mag = szego._modulus(r)
+        for j in range(M // 2 + 1):
+            theta = 2 * mp.pi * j / M
+            assert szego._theta(j, M)._mpf_ == curve.thetas[j]._mpf_ == theta._mpf_
+            node = curve.points[j]._mpc_
+            half = szego._half_node(r, j, M, szego._theta(j, M), crossings, mag)
+            assert half._mpc_ == node, j
+            if j < M // 2:
+                assert curve_point(r, theta, bits)._mpc_ == node, j
+            if 0 < j < M // 2:
+                args.append(complex(-mp.exp(-1 - r + 1j * theta)))
+    # the crossings take up to two seeds before the inner nodes
+    assert traced[len(traced) - len(args):] == args and len(traced) - len(args) <= 2
+    if r < mpf(2) ** -bits and bits == 512:
+        # the argument at theta = 0 rounds to -e^(-1) at 528 bits, where
+        # e x + 1 rounds to 0 with e rounded to nearest: node 0 is the corner
+        assert curve.points[0] == 1
+
+
+def test_double_node_radius_only_for_the_principal_branch():
+    # _w0_double certifies a root near any seed, but only a root in the unit
+    # disk is W_0's: seeded near W_-1(-0.3) = -1.781..., Halley's steps
+    # reach that root, and its radius must be inf.
+    x, dx = complex(-0.3), 2.0**-50
+    v, rad = szego._w0_double(x, 0, dx, complex(-0.49))
+    with workprec(PREC):
+        assert abs(mpc(v) - mp.lambertw(mpf("-0.3"))) <= rad < 2.0**-40
+    v, rad = szego._w0_double(x, 0, dx, complex(-1.78))
+    with workprec(PREC):
+        assert abs(mpc(v) - mp.lambertw(mpf("-0.3"), -1)) < 2.0**-40
+    assert rad == mp.inf
