@@ -4,9 +4,10 @@ Everything here works for parameters far outside the classical range
 a > -1, in particular for a near the degenerate set S_n = {-n, ..., -1}
 where the polynomial acquires a multiple zero at the origin.  Two
 evaluation paths are provided: the three-term recurrence (stable, used for
-point evaluation) and explicit coefficients (used only to feed the root
-finder).  Generalized binomials are always accumulated as plain products,
-never as Gamma ratios, so negative integer parameters are exact.
+point evaluation) and explicit coefficients (used to feed the root finder,
+and as exact ints for the right side of the Askey check).  Generalized
+binomials are always accumulated as plain products, never as Gamma ratios,
+so negative integer parameters are exact.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from .errors import DegenerateParameter, InvalidParameter
+from .fixed import gaussian_ints
 from .precision import (
     as_real,
     default_precision,
@@ -261,12 +264,52 @@ class AskeyResult:
         return iter((self.lhs, self.rhs, self.abs_error))
 
 
-def askey_check(n: int, alpha, beta, x, precision_bits: int | None = None) -> AskeyResult:
-    """Check e^(-x) L_n^(a)(x) = (1/Gamma(b-a)) int_x^inf (t-x)^(b-a-1) e^(-t) L_n^(b)(t) dt.
+# askey_check refuses inputs that span more than this many bits beyond the
+# working precision: its exact ints would grow to n times that span.
+_ASKEY_SPREAD_BITS = 1 << 16
 
-    On [x, x+1] the substitution u = (t-x)^(b-a) absorbs the algebraic
-    singularity; [x+1, inf) is integrated as it stands.  Both use mpmath's
-    tanh-sinh rule, which needs no cutoff on a half-line (Takahasi & Mori 1974).
+
+def _scaled_coefficients(n: int, B: int, one: int) -> tuple:
+    """(d, n!): ints with c_j one^(n-j) = d[j] / n! exactly, for beta = B / one.
+
+    c_j = (-1)^j binom(n+beta, n-j) / j! is the coefficient of t^j in
+    L_n^(beta)(t), so n! c_j = (-1)^j binom(n, j) prod_{i=j+1..n} (beta + i).
+    """
+    d = [0] * (n + 1)
+    prod, comb, fact = 1, 1, 1
+    for j in range(n, -1, -1):
+        d[j] = -comb * prod if j & 1 else comb * prod
+        prod *= B + j * one
+        comb = comb * j // (n - j + 1)
+        fact *= max(j, 1)
+    return d, fact
+
+
+def askey_check(n: int, alpha, beta, x, precision_bits: int | None = None) -> AskeyResult:
+    """Check e^(-x) L_n^(a)(x) = (1/Gamma(s)) int_x^inf (t-x)^(s-1) e^(-t) L_n^(b)(t) dt, s = b - a.
+
+    The left side is the three-term recurrence.  The right side is the same
+    integral in closed form, from L_n^(b)'s explicit coefficients c_j.  With
+    t = x + u and int_0^inf u^(s-1+i) e^(-u) du = Gamma(s) (s)_i, it is
+    e^(-x) sum_j c_j m_j, where m_j = sum_i binom(j, i) x^(j-i) (s)_i is the
+    j-th moment of x + u under u^(s-1) e^(-u) / Gamma(s).  Integrating by
+    parts (s > 0 makes the boundary terms vanish) gives m_0 = 1, m_1 = x + s
+    and m_(j+1) = (x + s + j) m_j - j x m_(j-1).  No Gamma is evaluated and
+    nothing is truncated.
+
+    alpha, beta and x are taken exactly as ints A, B, X over one = 2^E,
+    E >= 0.  Then n! c_j one^(n-j) (_scaled_coefficients) and m_j one^j are
+    ints, so q = sum_j c_j m_j = N / (n! one^n) for an exact int N.  At
+    P = prec + 32 bits, q is rounded once, to q (1 + d1), and multiplied by
+    e' = e^(-x) (1 + d0), the same rounded value the left side uses; that
+    product rounds once more, by d2.  With |d1|, |d2| <= 2^-P,
+    |rhs - e' q| <= (2^(1-P) + 2^(-2P)) |e' q|, and e' q differs from the
+    integral only by d0, which scales both sides alike.  For n = 0, q = 1
+    and rhs = lhs = e' exactly.
+
+    The ints grow to about n D bits, where D is the span of A, B, X and one.
+    When D exceeds the working precision by more than 2^16 bits (as for
+    x = 2^-(2^24)), InvalidParameter is raised instead.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InvalidParameter(f"degree n must be a nonnegative int, got {n}")
@@ -280,15 +323,22 @@ def askey_check(n: int, alpha, beta, x, precision_bits: int | None = None) -> As
     if precision_bits is None:
         precision_bits = max(192, default_precision(max(n, 1)))
     prec = op_precision(precision_bits, alpha, beta, x)
+    (A, B, X, one), _, e = gaussian_ints([alpha, beta, x, mpf(1)])
+    spread = max(abs(v).bit_length() for v in (A, B, X, one))
+    if spread > prec + _ASKEY_SPREAD_BITS:
+        raise InvalidParameter(
+            f"alpha, beta and x span {spread} bits, more than {prec} + 2^16"
+        )
+    XS = X + B - A
+    d, den = _scaled_coefficients(n, B, one)
+    N, m_prev, m = 0, 0, 1
+    for j in range(n + 1):
+        N += d[j] * m
+        m_prev, m = m, (XS + j * one) * m - (j * X * m_prev << -e)
     with workprec(prec + 32):
-        s = beta - alpha
-        lhs = mp.e ** (-x) * _recurrence(n, alpha, x)
-
-        def g(t):
-            return mp.e ** (-t) * _recurrence(n, beta, t)
-
-        i_near = mp.quad(lambda u: g(x + u ** (1 / s)), [0, 1]) / s
-        i_far = mp.quad(lambda t: (t - x) ** (s - 1) * g(t), [x + 1, mp.inf])
-        rhs = (i_near + i_far) / mp.gamma(s)
+        ex = mp.e ** (-x)
+        lhs = ex * _recurrence(n, alpha, x)
+        q = mpf_div(from_man_exp(N, n * e), from_int(den), mp.prec, round_nearest)
+        rhs = ex * mp.make_mpf(q)
         abs_error = abs(lhs - rhs)
     return AskeyResult(lhs=lhs, rhs=rhs, abs_error=abs_error)

@@ -271,7 +271,11 @@ def harmonic_moments(mu: DiscreteMeasure, k_max: int, precision_bits: int = 192)
     less than (3 k W + n) 2^(k s - F), W = sum_i w_i, before it is rounded
     once to P bits.  A point below the real axis runs its product on its
     conjugate, so conjugate points with equal weights cancel exactly in the
-    imaginary part.  k_max must be an int >= 0.
+    imaginary part.  Points with equal cuts (u_r, |u_i|), a conjugate pair
+    among them, share one product chain: their signed weight ints are added
+    first, exactly, so the moments are those of one chain per point, bit for
+    bit, and a mirrored curve runs about half the chains.  k_max must be an
+    int >= 0.
     """
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
         raise InvalidParameter(f"k_max must be an int >= 0, got {k_max!r}")
@@ -279,13 +283,15 @@ def harmonic_moments(mu: DiscreteMeasure, k_max: int, precision_bits: int = 192)
     prec = op_precision(precision_bits, *pts)
     s = max((mp.mag(x) for x in pts if x), default=0)
     F = prec + 16 + 2 * k_max + len(pts).bit_length()
-    us, ws = [], []
+    orbits = {}
     for x, w in zip(pts, mu.weights):
         ur, ui = to_fixed(x.real, F - s), to_fixed(x.imag, F - s)
         wf = to_fixed(w, F)
-        us.append((ur, abs(ui)))
-        ws.append((wf, -wf if ui < 0 else wf))
-    ps = [(1 << F, 0)] * len(pts)
+        key = ur, abs(ui)
+        wr, wi = orbits.get(key, (0, 0))
+        orbits[key] = (wr + wf, wi - wf if ui < 0 else wi + wf)
+    us, ws = list(orbits), list(orbits.values())
+    ps = [(1 << F, 0)] * len(us)
     out = []
     with workprec(prec):
         for k in range(k_max + 1):

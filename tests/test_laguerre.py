@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+from szegolab import laguerre
 from szegolab.errors import DegenerateParameter, InvalidParameter
 from szegolab.laguerre import (
     LaguerreSpec,
@@ -281,3 +282,100 @@ def test_askey_identity_holds_to_working_precision(n, alpha, beta, x):
     # agree to half of the default 192 bits.
     res = askey_check(n, alpha, beta, x)
     assert res.abs_error <= mpf(2) ** -96 * max(1, abs(res.lhs))
+
+
+def _tanh_sinh_rhs(n, alpha, beta, x, bits):
+    """The right side by quadrature: (1/Gamma(s)) int_x^inf (t-x)^(s-1) e^(-t) L_n^(b)(t) dt.
+
+    On [x, x+1] the substitution u = (t-x)^s absorbs the algebraic
+    singularity; [x+1, inf) is integrated as it stands.  Both use mpmath's
+    tanh-sinh rule, which needs no cutoff on a half-line (Takahasi & Mori 1974).
+    """
+    with workprec(bits):
+        s = beta - alpha
+
+        def g(t):
+            return mp.e ** (-t) * laguerre._recurrence(n, beta, t)
+
+        i_near = mp.quad(lambda u: g(x + u ** (1 / s)), [0, 1]) / s
+        i_far = mp.quad(lambda t: (t - x) ** (s - 1) * g(t), [x + 1, mp.inf])
+        return (i_near + i_far) / mp.gamma(s)
+
+
+_ORACLE_CASES = [
+    (1, mpf("-0.5"), mpf(0), mpf(0)),
+    (0, mpf("-1.25"), mpf("0.5"), ap_real("0.3", 192)),
+    (4, mpf("-4.3"), mpf(-4), mpf("0.5")),
+    (20, mpf("0.5"), mpf("2.25"), mpf("1.0")),
+]
+
+
+@pytest.mark.parametrize("n, alpha, beta, x", _ORACLE_CASES)
+def test_askey_exact_side_agrees_with_tanh_sinh(n, alpha, beta, x):
+    # Criterion 8's cases and a high degree: the closed-form right side
+    # against an independent quadrature of the integral, at the check's
+    # own working precision.
+    res = askey_check(n, alpha, beta, x)
+    bits = max(192, default_precision(max(n, 1))) + 32
+    oracle = _tanh_sinh_rhs(n, alpha, beta, x, bits)
+    with workprec(bits):
+        assert abs(res.rhs - oracle) <= mpf(2) ** -96 * max(1, abs(res.lhs))
+
+
+# A generic n = 4 case: every coefficient of L_4^(beta) is nonzero.
+_MUTATION_CASE = (4, mpf("0.25"), mpf("1.75"), mpf("0.5"))
+
+
+def _askey_fails(res):
+    return res.abs_error > mpf(2) ** -96 * max(1, abs(res.lhs))
+
+
+def test_askey_check_catches_a_perturbed_recurrence(monkeypatch):
+    def recurrence(n, alpha, w):
+        # laguerre._recurrence with (k + alpha) moved by 2^-60
+        prev, cur = mpf(1), 1 + alpha - w
+        for k in range(1, n):
+            shifted = k + alpha + mp.ldexp(1, -60)
+            prev, cur = cur, ((2 * k + 1 + alpha - w) * cur - shifted * prev) / (k + 1)
+        return cur
+
+    assert not _askey_fails(askey_check(*_MUTATION_CASE))
+    monkeypatch.setattr(laguerre, "_recurrence", recurrence)
+    assert _askey_fails(askey_check(*_MUTATION_CASE))
+
+
+@pytest.mark.parametrize("j", range(5))
+def test_askey_check_catches_a_perturbed_coefficient(monkeypatch, j):
+    scaled = laguerre._scaled_coefficients
+
+    def perturbed(n, B, one):
+        # coefficient j of L_n^(beta) times (1 + 2^-60), exactly
+        d, den = scaled(n, B, one)
+        d = [v << 60 for v in d]
+        d[j] += d[j] >> 60
+        return d, den << 60
+
+    monkeypatch.setattr(laguerre, "_scaled_coefficients", perturbed)
+    assert _askey_fails(askey_check(*_MUTATION_CASE))
+
+
+def test_askey_at_degree_zero_is_e_to_minus_x_exactly():
+    x = ap_real("0.3", 192)
+    res = askey_check(0, mpf("-1.25"), mpf("0.5"), x)
+    with workprec(192 + 32):
+        assert res.rhs == res.lhs == mp.e ** (-x)
+    assert res.abs_error == 0
+
+
+def test_askey_refuses_inputs_past_the_stated_spread():
+    # The exact ints span D bits, from the last bit of the finest input to
+    # the top of the largest; D may exceed the working precision (64 here)
+    # by at most 2^16 bits.
+    limit = 64 + 2**16
+    res = askey_check(1, mpf("-0.5"), mpf(0), mp.ldexp(1, 1 - limit), 64)
+    assert not _askey_fails(res)
+    for x in (mp.ldexp(1, -limit), mp.ldexp(1, -(2**24)), mp.ldexp(1, limit)):
+        with pytest.raises(InvalidParameter, match="span"):
+            askey_check(1, mpf("-0.5"), mpf(0), x, 64)
+    with pytest.raises(InvalidParameter, match="span"):
+        askey_check(1, mp.ldexp(1, -limit), mpf(1), mpf(0), 64)

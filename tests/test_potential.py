@@ -127,6 +127,32 @@ def test_harmonic_moments_off_the_unit_disc():
             _check_moments(DiscreteMeasure(points=[x * scale for x in pts], weights=weights))
 
 
+def test_harmonic_moments_run_one_chain_per_conjugate_orbit(monkeypatch):
+    # A mirrored M = 64 curve has two real nodes (theta = 0 and pi) and 31
+    # conjugate pairs: 33 product chains, one cmul each per k >= 1, and the
+    # equal weights of each pair cancel its imaginary parts exactly.
+    mu = discretize_mu_r(ap_real("0.5", PREC), 64, PREC)
+    cmul, calls = potential.cmul, []
+
+    def counting(*args):
+        calls.append(args)
+        return cmul(*args)
+
+    monkeypatch.setattr(potential, "cmul", counting)
+    moments = harmonic_moments(mu, 6, PREC)
+    assert len(calls) == 33 * 6
+    assert all(m.imag == 0 for m in moments)
+
+
+def test_harmonic_moments_of_merged_orbits_with_unequal_weights():
+    # A repeated point, a conjugate pair with unequal weights, a repeated
+    # real point: each orbit's signed weights are summed before its chain.
+    with workprec(PREC):
+        pts = [mpc(1, 2), mpc(1, 2), mpc(1, -2), mpf(3), mpf(3), mpc("0.5", "-0.25")]
+        weights = [mpf(k) / 16 for k in (1, 2, 3, 4, 5, 1)]
+    _check_moments(DiscreteMeasure(points=pts, weights=weights))
+
+
 @pytest.mark.parametrize("k_max", [-1, 6.0, True, "6"])
 def test_harmonic_moments_rejects_a_bad_k_max(k_max):
     mu = discretize_mu_r(mpf(1), 16, PREC)
