@@ -34,11 +34,14 @@ roundings, without building an mpf or mpc object.  It picks each greedy
 point through a double-precision shadow of the products' logs, whose
 running rounding-error bound, derived in the standard model, certifies
 which few nodes can win the step; one pass per step updates the shadow and
-finds those nodes.  The shadow reads the grid as doubles with certified
-radii (szego._shadow_half), so the grid is never traced: a node is
-evaluated at full precision only once it can win.  Only the candidates'
-products are brought up to date, lazily and in the order of an update of
-every node, so the points and the estimate are those of the full greedy
+finds those nodes.  Nodes away from the chosen point add a per-node error
+budget fixed once per call, the few next to it the bound's full term.  The
+shadow reads the grid as doubles with certified radii
+(szego._shadow_half), so the grid is never traced: a node is evaluated at
+full precision only once it can win.  A sole candidate is taken without
+its product; where two or more can win, only theirs are brought up to
+date, lazily and in the order of an update of every node, and so are the
+final max's.  The points and the estimate are those of the full greedy
 rule to the last bit.
 """
 
@@ -513,18 +516,71 @@ class LejaResult:
 # once dx^2 + dy^2 > _SHADOW_TINY.  Per term E_i adds
 # 3 t + dlw_i + u (4 |l| + 3 |lw_i| + 3 |f| + 5), which rounds these up.
 # Its per-node part de_i = dlw_i + u (3 |lw_i| + 5) is computed once per
-# call, and each step adds 3 t + de_i + u (4 |l| + 3 |f|): nine roundings of
-# relative u in all, as many as the increment took when it was one
-# expression per step.  The surplus, over u (|f| + 1), covers them and the
-# rounding of F_i +- E_i in the candidate test.  The start F_i = lw_i errs by at
-# most dlw_i + 2^(2-P), which dlw_i + u (3 |lw_i| + 2) covers in the same
-# way.  A node whose radius is not certified gets lw_i = 0 and E_i = inf.
-
+# call, and the rest, 3 t + de_i + u (4 |l| + 3 |f|), is _term_error: nine
+# roundings of relative u in all.  The surplus, over u (|f| + 1), covers
+# them and the rounding of F_i +- E_i in the candidate test.  The start
+# F_i = lw_i errs by at most dlw_i + 2^(2-P), which dlw_i + u (3 |lw_i| + 2)
+# covers in the same way.  A node whose radius is not certified gets lw_i = 0
+# and E_i = inf.
+#
 # A term with t_hat above _SHADOW_MOVE, or with a squared distance at or
 # below _SHADOW_TINY (toward the subnormal range), is not bounded: its node
 # gets E_i = inf and stays a candidate.
+#
+# The budget.  _term_error's t, |l| and |f| change with every step, but each
+# has a bound that does not, so most terms add a per-node budget
+# a_i + k b_i at step k instead (_shadow_budget), computed once per call:
+#   |l|   every finite term has a computed d^2 below D2 = 4.001 max |g_i|^2
+#         (the differences of two nodes, squared and summed, round up by at
+#         most 9 u in all), and above floor_i = max(_SHADOW_TINY,
+#         (R_i / _SHADOW_MOVE)^2) up to 8 u relative: on the budget's path
+#         d^2 > thr_i >= floor_i, and on the other t_hat <= _SHADOW_MOVE.
+#         With the faithful logs, |l| <= lam_i = 1.001 (max(|ln floor_i|,
+#         |ln D2|) + 9 u).
+#   |f|   f is a sum of k + 1 copies of lw_i and at most k logs, so
+#         |f| <= (k + 1) |lw_i| + k lam_i, and 1.001 times that covers the
+#         2 k additions' roundings while k < 2^40.
+#   t     R_j is at most rmax, the largest certified radius, for every
+#         certified chosen node; a computed d^2 > thr_i >= ((R_i + rmax) /
+#         T_i)^2 then gives t_hat <= (1 + 6 u) T_i, which 1.001 T_i covers,
+#         and T_i <= _SHADOW_MOVE, so t <= 1.0001 t_hat still holds.
+# So a_i = _term_error(1.001 T_i, de_i, lam_i, 1.001 |lw_i|) and
+# b_i = _term_error(0, 0, 0, 1.001 (|lw_i| + lam_i)), whose terms each
+# exceed _term_error's own by at least 0.1 %, more than the few roundings of
+# a_i + k b_i and of the terms take, so the budget is never below the
+# increment it replaces.  The threshold makes the budget's radius term no
+# larger than its rounding term: 3 T_i = N b_i, the |f| term at the last
+# step (T_i = _SHADOW_MOVE where that is smaller).  Only nodes next to the
+# chosen point then have d^2 <= thr_i, 0.5 to 6 % of the terms at N = 128
+# on 2048 nodes.  Those terms, and every term of a step whose chosen node
+# has R_c > rmax (not certified), take _term_error as before.
 _SHADOW_MOVE = 2.0**-13
 _SHADOW_TINY = 2.0**-1000
+
+
+def _term_error(t, de, lg, f):
+    """E_i's increment for one factor with the computed t, l and f (derived
+    above _SHADOW_MOVE); also a_i and b_i from their bounds."""
+    return 3 * t + de + _SHADOW_U * (4 * abs(lg) + 3 * abs(f))
+
+
+def _shadow_budget(zs, rads, lw, dlw, N) -> tuple:
+    """(de, thr, a, b, rmax) for _shadow_step, derived above _SHADOW_MOVE:
+    de_i, the threshold thr_i on d^2 and the budget a_i + k b_i of node i,
+    for chosen nodes of radius at most rmax."""
+    u = _SHADOW_U
+    rmax = max((x for x in rads if x < math.inf), default=0.0)
+    top = abs(math.log(4.001 * max(abs(z) for z in zs) ** 2))
+    de, thr, a, b = [], [], [], []
+    for rad, w, d in zip(rads, lw, dlw):
+        floor = max(_SHADOW_TINY, (rad / _SHADOW_MOVE) ** 2)
+        lam = 1.001 * (max(abs(math.log(floor)), top) + 9 * u)
+        de.append(d + u * (3 * abs(w) + 5))
+        b.append(_term_error(0.0, 0.0, 0.0, 1.001 * (abs(w) + lam)))
+        move = min(_SHADOW_MOVE, N * b[-1] / 3)
+        thr.append(max(floor, ((rad + rmax) / move) ** 2))
+        a.append(_term_error(1.001 * move, de[-1], lam, 1.001 * abs(w)))
+    return de, thr, a, b, rmax
 
 
 def _candidates(live, F, E) -> list:
@@ -539,33 +595,44 @@ def _candidates(live, F, E) -> list:
     return [i for i in live if F[i] + E[i] >= lo]
 
 
-def _shadow_step(c, live, xs, ys, rad, lw, de, F, E) -> list:
+def _shadow_step(c, live, xs, ys, rad, lw, budget, F, E) -> list:
     """Add the factor omega2_i |g_i - g_c|^2 to every live node's shadow;
     returns _candidates(live, F, E) after it, from the same pass.
 
-    de_i is the per-node part of E_i's increment (derived above
-    _SHADOW_MOVE).  The pass keeps the running max lo of F_j - E_j and a
-    short list of the nodes with F_i + E_i >= lo at their turn.  lo only
+    budget is _shadow_budget's.  A node with d^2 > thr_i adds its budget
+    a_i + k b_i to E_i, k the number of chosen nodes (they have left live);
+    the others, and every node if R_c > rmax, add _term_error.  F_i is the
+    same on both paths.  The pass keeps the running max lo of F_j - E_j and
+    a short list of the nodes with F_i + E_i >= lo at their turn.  lo only
     grows, so a node left out has F_i + E_i below the final max and is no
     candidate; the maximizer of F_j - E_j is kept, so the final filter of
     the short list by the final lo gives exactly _candidates' set, in index
     order.
     """
+    de, thr, a, b, rmax = budget
+    k = len(xs) - len(live)
     zx, zy, zr = xs[c], ys[c], rad[c]
+    if not zr <= rmax:
+        thr = [math.inf] * len(xs)
     lo = -math.inf
     kept = []
     for i in live:
         dx = xs[i] - zx
         dy = ys[i] - zy
         d2 = dx * dx + dy * dy
-        t = (rad[i] + zr) / math.sqrt(d2) if d2 > _SHADOW_TINY else math.inf
-        if not t <= _SHADOW_MOVE:
-            E[i] = math.inf
-            kept.append(i)
-            continue
-        lg = math.log(d2)
-        f = F[i] + (lw[i] + lg)
-        err = E[i] + (3 * t + de[i] + _SHADOW_U * (4 * abs(lg) + 3 * abs(f)))
+        if d2 > thr[i]:
+            lg = math.log(d2)
+            f = F[i] + (lw[i] + lg)
+            err = E[i] + (a[i] + k * b[i])
+        else:
+            t = (rad[i] + zr) / math.sqrt(d2) if d2 > _SHADOW_TINY else math.inf
+            if not t <= _SHADOW_MOVE:
+                E[i] = math.inf
+                kept.append(i)
+                continue
+            lg = math.log(d2)
+            f = F[i] + (lw[i] + lg)
+            err = E[i] + _term_error(t, de[i], lg, f)
         F[i], E[i] = f, err
         if f - err > lo:
             lo = f - err
@@ -620,12 +687,21 @@ def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResu
     is never traced: a node and its omega2_i are evaluated at full precision
     only when it first becomes a candidate, by the same libmp calls on raw
     values as trace_level_curve's node and mp.exp(-2 DEFAULT_FIELD.phi(g)).
-    Its S_i is brought up to date lazily, by the same libmp calls on raw
-    values in the same order as an update of every node at every step, so
-    points, sup_norm and robin_estimate are those of that eager rule to the
-    last bit.  About one node per step is updated instead of
-    grid_M, and about one node in eight is ever evaluated.  The final max
-    over S_i / omega2_i is taken the same way.
+
+    A sole candidate c is taken without its product: every other live node
+    i was dropped, so F_i + E_i < max_j (F_j - E_j), and the j of that max
+    is a candidate, so j = c and every other objective is strictly below
+    c's: c is the unique maximizer, the eager rule's pick, ties or not.  c
+    then leaves live, so its S_c is never read again; it is still evaluated,
+    as the point is an output and enters every later factor.  Where two or
+    more nodes can win, their S_i are brought up to date lazily, by the same
+    libmp calls on raw values in the same order as an update of every node
+    at every step, so points, sup_norm and robin_estimate are those of that
+    eager rule to the last bit.  The final max over S_i / omega2_i is taken
+    the same way.  At N = 128 on 2048 nodes every step but the one after the
+    first (real) point, where a conjugate pair ties, has one candidate, so
+    about 130 factors are applied instead of about 8,300, and about one
+    node in eight is ever evaluated.
     """
     if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise InvalidParameter(f"need an int N >= 1, got {N!r}")
@@ -642,6 +718,7 @@ def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResu
         xs = [z.real for z in zs]
         ys = [z.imag for z in zs]
         lw, dlw = _field_shadow(zs, rads, scale)
+        budget = _shadow_budget(zs, rads, lw, dlw, N)
         F = list(lw)
         E = [e + _SHADOW_U * (3 * abs(w) + 2) for e, w in zip(dlw, lw)]
         # Node i and omega2_i once it is a candidate; S_i =
@@ -678,15 +755,19 @@ def weighted_leja(r, N: int, grid_M: int, precision_bits: int = 128) -> LejaResu
             S[i], done[i] = s, len(chosen)
             return s
 
-        de = [d + _SHADOW_U * (3 * abs(w) + 5) for d, w in zip(dlw, lw)]
         cands = _candidates(live, F, E)
         for _ in range(N):
-            # max keeps the first of equal keys, and candidates are in
-            # index order: conjugate nodes tie after a real point.
-            best_i = max(cands, key=lambda i: mp.make_mpf(exact(i)))
+            if len(cands) == 1:
+                # the unique maximizer: its S_i is never read again
+                best_i = cands[0]
+                load(best_i)
+            else:
+                # max keeps the first of equal keys, and candidates are in
+                # index order: conjugate nodes tie after a real point.
+                best_i = max(cands, key=lambda i: mp.make_mpf(exact(i)))
             chosen.append(grid[best_i])
             live.remove(best_i)
-            cands = _shadow_step(best_i, live, xs, ys, rads, lw, de, F, E)
+            cands = _shadow_step(best_i, live, xs, ys, rads, lw, budget, F, E)
         # t_hat_N^2 = max_i S_i / omega(g_i)^2 (S carries k = N + 1); chosen
         # nodes, with S_i = 0, are not live.  G_i = F_i - lw_i shadows
         # ln(S_i / omega2_i) within EG_i: E_i plus lw_i and the subtraction.

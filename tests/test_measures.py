@@ -138,6 +138,11 @@ def test_discrete_measure_takes_numbers_exactly_and_refuses_text():
             DiscreteMeasure(points=points, weights=weights)
 
 
+def test_discrete_measure_refuses_an_empty_support():
+    with pytest.raises(InvalidParameter, match="at least one point"):
+        DiscreteMeasure(points=(), weights=())
+
+
 def test_discrete_measure_rejects_nan_weight():
     with pytest.raises(InvalidParameter, match="nonnegative"):
         DiscreteMeasure(points=(mpc(0), mpc(1)), weights=(mpf(1), mpf(mp.nan)))

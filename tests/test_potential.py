@@ -1,5 +1,6 @@
 """Balayage measure discretization, potential identities, energy, and Leja."""
 
+import math
 import random
 
 import pytest
@@ -631,6 +632,193 @@ def test_shadow_step_returns_the_candidates(monkeypatch, r, N, grid_M, bits):
     monkeypatch.setattr(potential, "_shadow_step", checked)
     weighted_leja(ap_real(r, bits), N, grid_M, bits)
     assert len(sizes) == N
+
+
+def _term_errors(c, live, xs, ys, rad, lw, de, F, E) -> dict:
+    """{i: (F_i, E_i)} after the step that picks node c, each live node's
+    E_i taken by _term_error from the computed t, l and f, as the shadow
+    did at every term before it had a budget."""
+    out = {}
+    for i in live:
+        dx, dy = xs[i] - xs[c], ys[i] - ys[c]
+        d2 = dx * dx + dy * dy
+        t = (rad[i] + rad[c]) / math.sqrt(d2) if d2 > potential._SHADOW_TINY else math.inf
+        if not t <= potential._SHADOW_MOVE:
+            out[i] = F[i], math.inf
+            continue
+        lg = math.log(d2)
+        f = F[i] + (lw[i] + lg)
+        out[i] = f, E[i] + potential._term_error(t, de[i], lg, f)
+    return out
+
+
+def _check_budget(monkeypatch):
+    """Wrap _shadow_step: every step must give each live node the F_i of
+    _term_errors and an E_i at least its, equal where the node took the
+    slow path.  Returns the counts of fast, slow and unbounded terms and of
+    steps whose chosen node had no certified radius."""
+    real = potential._shadow_step
+    seen = {"fast": 0, "slow": 0, "inf": 0, "uncertified": 0}
+
+    def checked(c, live, xs, ys, rad, lw, budget, F, E):
+        de, thr, _, _, rmax = budget
+        want = _term_errors(c, live, xs, ys, rad, lw, de, F, E)
+        out = real(c, live, xs, ys, rad, lw, budget, F, E)
+        seen["uncertified"] += not rad[c] <= rmax
+        for i in live:
+            f, e = want[i]
+            dx, dy = xs[i] - xs[c], ys[i] - ys[c]
+            fast = rad[c] <= rmax and dx * dx + dy * dy > thr[i]
+            assert (F[i], E[i]) == (f, e) if not fast else (F[i] == f and E[i] >= e)
+            seen["fast" if fast else "slow"] += 1
+            seen["inf"] += e == math.inf
+        return out
+
+    monkeypatch.setattr(potential, "_shadow_step", checked)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "r, N, grid_M, bits",
+    [
+        ("0", 24, 384, 128),
+        ("1e-12", 24, 384, 128),
+        ("0.3", 24, 384, 128),
+        ("1", 24, 384, 128),
+        ("30", 8, 64, 192),
+        ("800", 8, 64, 192),
+    ],
+)
+def test_shadow_budget_is_never_below_the_term_errors(monkeypatch, r, N, grid_M, bits):
+    # Far nodes add the budget a_i + k b_i and the nodes next to the chosen
+    # point add _term_error: both paths run, and the points are unchanged.
+    seen = _check_budget(monkeypatch)
+    r = ap_real(r, bits)
+    result = weighted_leja(r, N, grid_M, bits)
+    assert _leja_triple(result) == _product_greedy_leja(r, N, grid_M, bits)
+    assert seen["fast"] > seen["slow"] > 0
+    assert seen["inf"] == seen["uncertified"] == 0
+
+
+def test_shadow_budget_covers_a_worst_case_term():
+    # The chosen node has the largest radius, node i lies just past its
+    # threshold, so t_hat is about T_i, and |F_i| is near the most that k
+    # terms allow: the budget must still cover _term_error, |f| part and all.
+    r, M, N = ap_real("0.3", 128), 384, 24
+    with workprec(144):
+        scale, zs, rads = potential._shadow_half(r, M, real_crossings(r, 128), 128)
+    zs += [z.conjugate() for z in reversed(zs[1:-1])]
+    rads += rads[-2:0:-1]
+    xs, ys = [z.real for z in zs], [z.imag for z in zs]
+    lw, dlw = potential._field_shadow(zs, rads, scale)
+    budget = potential._shadow_budget(zs, rads, lw, dlw, N)
+    de, thr, _, _, rmax = budget
+    c = rads.index(rmax)
+
+    def over(j):
+        dx, dy = xs[j] - xs[c], ys[j] - ys[c]
+        return (dx * dx + dy * dy) / thr[j]
+
+    i = min((j for j in range(M) if over(j) > 1), key=over)
+    assert over(i) < 1.5
+    k = N - 1
+    live = [i] + [j for j in range(M) if j not in (i, c)][: M - k - 1]
+    F, E = list(lw), [0.0] * M
+    floor = (rads[i] / potential._SHADOW_MOVE) ** 2
+    F[i] = -0.999 * ((k + 1) * abs(lw[i]) + k * abs(math.log(floor)))
+    want = _term_errors(c, live, xs, ys, rads, lw, de, F, E)
+    potential._shadow_step(c, live, xs, ys, rads, lw, budget, F, E)
+    assert F[i] == want[i][0] and E[i] >= want[i][1]
+
+
+@pytest.mark.parametrize("name, value", [("_SHADOW_MOVE", 2.0**-43), ("_SHADOW_TINY", 1e-3)])
+def test_weighted_leja_unbounded_terms_keep_the_greedy_rule(monkeypatch, name, value):
+    # With t_hat above _SHADOW_MOVE, or d^2 at or below _SHADOW_TINY, for
+    # the nodes next to each chosen point, those get E_i = inf and stay
+    # candidates; the points stay the eager rule's.
+    monkeypatch.setattr(potential, name, value)
+    seen = _check_budget(monkeypatch)
+    r, N, grid_M = ap_real("0.3", 128), 24, 384
+    result = weighted_leja(r, N, grid_M, 128)
+    assert _leja_triple(result) == _product_greedy_leja(r, N, grid_M, 128)
+    assert seen["inf"] > 0 and seen["fast"] > seen["slow"]
+
+
+def test_weighted_leja_uncertified_radii_keep_the_greedy_rule(monkeypatch):
+    # Nodes whose radius is not certified get lw_i = 0 and E_i = inf; once
+    # one of them is chosen, R_c = inf and every node takes _term_error.
+    real = potential._shadow_half
+    r, N, grid_M = ap_real("0.3", 128), 24, 384
+
+    def uncertified(*args):
+        k, zs, rads = real(*args)
+        return k, zs, [math.inf if j % 5 == 0 else x for j, x in enumerate(rads)]
+
+    monkeypatch.setattr(potential, "_shadow_half", uncertified)
+    seen = _check_budget(monkeypatch)
+    result = weighted_leja(r, N, grid_M, 128)
+    assert _leja_triple(result) == _product_greedy_leja(r, N, grid_M, 128)
+    assert seen["uncertified"] > 0 and seen["fast"] > 0
+
+
+def _factors(monkeypatch, N) -> list:
+    """The list that weighted_leja's candidate sets are appended to: the
+    first step's, _shadow_step's after each of the N steps, then the final
+    max's."""
+    steps = []
+    real_candidates, real_step = potential._candidates, potential._shadow_step
+
+    def candidates(*args):
+        out = real_candidates(*args)
+        steps.append(out)
+        return out
+
+    def step(*args):
+        out = real_step(*args)
+        steps.append(out)
+        return out
+
+    monkeypatch.setattr(potential, "_candidates", candidates)
+    monkeypatch.setattr(potential, "_shadow_step", step)
+    return steps
+
+
+def _lazy_factors(steps, N) -> tuple:
+    """(exact factors, candidate-set sizes) of _factors' record: a step k
+    with two or more candidates brings each up to date, k - done_i factors,
+    and the final max takes N - done_i for each of its candidates."""
+    assert len(steps) == N + 2
+    done, count, sizes = {}, 0, []
+    for k, cands in enumerate(steps[:N]):
+        sizes.append(len(cands))
+        if len(cands) > 1:
+            for i in cands:
+                count += k - done.get(i, 0)
+                done[i] = k
+    count += sum(N - done.get(i, 0) for i in steps[-1])
+    return count, sizes + [len(steps[-1])]
+
+
+@pytest.mark.parametrize(
+    "r, N, grid_M, bits",
+    [("0.3", 24, 384, 128), ("0.731", 128, 2048, 192), ("30", 8, 64, 192)],
+)
+def test_sole_candidates_take_no_exact_product(monkeypatch, r, N, grid_M, bits):
+    # A sole candidate is the unique maximizer and is picked without its
+    # product: exact factors are taken only at steps with two or more
+    # candidates and for the final max.
+    calls = _count_sq_dist(monkeypatch)
+    steps = _factors(monkeypatch, N)
+    weighted_leja(ap_real(r, bits), N, grid_M, bits)
+    count, sizes = _lazy_factors(steps, N)
+    assert calls[0] == count
+    if r == "30":
+        # near-ties on a near circle, with 2, 4, 8 and 9 candidates
+        assert sizes == [9, 1, 2, 1, 4, 1, 2, 1, 8]
+    else:
+        # one tie, the conjugate pair after the first (real) point
+        assert sizes.count(1) == N
+        assert count < N + 8
 
 
 def test_leja_robin_gap():

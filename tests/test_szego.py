@@ -1,9 +1,11 @@
 """Level curves, crossings, and region classification."""
 
+import cmath
+import math
 import random
 
 import pytest
-from mpmath import mp, mpc, mpf
+from mpmath import fp, mp, mpc, mpf
 from mpmath.libmp import fzero
 
 from szegolab import szego
@@ -443,6 +445,19 @@ def test_double_nodes_at_huge_r_have_infinite_radii():
     for r in (ap_real("1e300", PREC), ap_real("1e400", PREC)):
         _, _, rads = szego._shadow_half(r, 16, real_crossings(r, PREC), PREC)
         assert all(rad == mp.inf for rad in rads[1:-1])
+
+
+def test_w0_double_refuses_a_radius_past_the_lipschitz_test():
+    # x = -0.3, k = 0, at W_0(x) itself: with dx = 0.01 the radius is
+    # certified; with dx = 0.03, eta is below 1/2 and the disc lies in the
+    # unit disk, but 4 L eta > |f'(v)|, so no radius is given.
+    x, v = complex(-0.3), complex(fp.lambertw(-0.3))
+    d1 = abs(cmath.exp(v) * (1 + v))
+    _, rad = szego._w0_double(x, 0, 0.01, v)
+    assert rad < 0.1
+    eta = 0.03 / d1
+    assert eta < 0.5 and abs(v) + 2 * eta < 1 - 1e-3
+    assert szego._w0_double(x, 0, 0.03, v) == (v, math.inf)
 
 
 def test_level_curve_rejects_unmirrored_nodes():
